@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt-check lint lint-fix-hints race race-fault bench-smoke bench-baseline bench-tick bench-tick-json bench-fleet bench-fleet-json bench-http bench-http-json benchguard repin ci
+.PHONY: all build test vet fmt-check lint lint-fix-hints race race-fault bench-smoke bench-baseline bench-tick bench-tick-json bench-fleet bench-fleet-json bench-http bench-http-json bench-e2e-smoke benchguard repin ci
 
 all: build
 
@@ -127,5 +127,13 @@ repin:
 	@test -n "$(REASON)" || { echo 'make repin requires REASON="why the bits moved"' >&2; exit 1; }
 	$(GO) run ./cmd/goldendump -repin internal/experiments/testdata/golden_epoch.json -reason "$(REASON)"
 
-ci: benchguard fmt-check vet lint race-fault race bench-smoke bench-tick bench-fleet bench-http
+# The end-to-end benchmark's own tests: a tiny-scale run of every
+# workload with its correctness gates (fleet bit-identity, byte-identical
+# twin answers after a snapshot/restore, report and golden-digest
+# checks). bench/ is a separate module, so the root `go test ./...`
+# does not reach it.
+bench-e2e-smoke:
+	$(GO) -C bench test ./...
+
+ci: benchguard fmt-check vet lint race-fault race bench-smoke bench-tick bench-fleet bench-http bench-e2e-smoke
 	@echo ci: OK

@@ -178,7 +178,9 @@ func (s *System) RestoreState(st SystemState) error {
 	for i, b := range s.broadcasters {
 		b.RestoreState(st.Broadcasters[i])
 	}
-	s.rec.RestoreState(st.Recorder)
+	if err := s.rec.RestoreState(st.Recorder); err != nil {
+		return err
+	}
 	if st.Watch != nil {
 		w := s.watch
 		w.tempAtS = st.Watch.TempAtS

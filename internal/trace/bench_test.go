@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -34,6 +37,44 @@ func BenchmarkSeriesAppendPregrown(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRecorderStateGob measures one building's trace checkpoint:
+// ExportState, gob encode, gob decode and RestoreState of 23 full,
+// wrapped 960-sample rings — the shape a fleet's sampled buildings carry
+// in a twin snapshot.
+func BenchmarkRecorderStateGob(b *testing.B) {
+	const series, retain = 23, 960
+	r := NewRecorder()
+	for k := 0; k < series; k++ {
+		s := r.Series(fmt.Sprintf("s%02d", k))
+		s.SetRetention(retain)
+		for i := 0; i < retain+100; i++ {
+			if err := s.Append(benchT0.Add(time.Duration(i)*time.Second), float64(i*k)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	fresh := NewRecorder()
+	var buf bytes.Buffer
+	size := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := gob.NewEncoder(&buf).Encode(r.ExportState()); err != nil {
+			b.Fatal(err)
+		}
+		size = buf.Len()
+		var st RecorderState
+		if err := gob.NewDecoder(&buf).Decode(&st); err != nil {
+			b.Fatal(err)
+		}
+		if err := fresh.RestoreState(st); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(size), "gob-bytes")
 }
 
 // BenchmarkRecorderRecord measures the convenience string-keyed path for

@@ -11,8 +11,9 @@ import (
 // SnapshotVersion is the wire-format version WriteSnapshot stamps and
 // ReadSnapshot enforces. Bump it on any incompatible change to the
 // snapshot graph (fleet.State and everything it embeds); a version
-// mismatch is a hard error, never a silent partial decode.
-const SnapshotVersion = 1
+// mismatch is a hard error, never a silent partial decode. Version 2
+// carries trace samples as Nanos/Values columns (trace.SeriesState).
+const SnapshotVersion = 2
 
 // Snapshot is a twin checkpoint: the config the fleet was built from —
 // config expansion and fleet construction are deterministic, so the

@@ -417,6 +417,47 @@ func TestServerEventValidation(t *testing.T) {
 		eventRequest{Kind: "door", Building: 0, DoorS: 45}, http.StatusAccepted, nil)
 }
 
+// TestServerRestoreRejectsBadTraceState pins that a well-formed snapshot
+// carrying malformed trace columns is a 400, not a panic, and registers no
+// twin.
+func TestServerRestoreRejectsBadTraceState(t *testing.T) {
+	src, err := NewTwin(context.Background(), Config{Buildings: 1, Shards: 1})
+	if err != nil {
+		t.Fatalf("NewTwin: %v", err)
+	}
+	defer src.Close()
+	snap, err := src.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	series := snap.State.Buildings[0].Recorder.Series
+	if len(series) == 0 {
+		t.Fatal("snapshot has no trace series to corrupt")
+	}
+	series[0].Values = append(series[0].Values, 1)
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, snap); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+
+	srv := NewServer()
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := ts.Client().Post(ts.URL+"/twins/restore", "application/octet-stream", &buf)
+	if err != nil {
+		t.Fatalf("POST restore: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "timestamps") {
+		t.Fatalf("POST restore: status %d: %s; want 400 naming the column mismatch", resp.StatusCode, body)
+	}
+	if ids := srv.reg.ids(); len(ids) != 0 {
+		t.Fatalf("rejected restore registered twins %v", ids)
+	}
+}
+
 // TestSnapshotVersionGuard pins the wire-format version check.
 func TestSnapshotVersionGuard(t *testing.T) {
 	var buf bytes.Buffer
