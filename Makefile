@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt-check lint lint-fix-hints race race-fault bench-smoke bench-baseline bench-tick bench-tick-json bench-fleet bench-fleet-json bench-http bench-http-json bench-e2e-smoke benchguard repin ci
+.PHONY: all build test vet fmt-check lint lint-fix-hints race race-fault bench-smoke bench-tick bench-tick-json bench-fleet bench-fleet-json bench-http bench-http-json bench-e2e-smoke benchguard repin ci
 
 all: build
 
@@ -55,12 +55,6 @@ race-fault:
 # Every benchmark once — correctness of the benchmark harness, not timing.
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
-
-# Record the benchmark baseline consumed by the performance trajectory.
-# Full `go test -bench . -benchmem` output, converted to JSON.
-bench-baseline:
-	$(GO) test -bench . -benchmem -benchtime 1x -run '^$$' ./... \
-		| tee /dev/stderr | sh scripts/bench_json.sh > BENCH_parallel_runner.json
 
 # Tick-kernel smoke: the ticks/sec and per-kernel alloc benchmarks at a
 # short fixed iteration count — keeps the kernel benchmarks compiling and

@@ -19,11 +19,6 @@ import (
 // Shard-count scaling (S1 vs S8 at N=10000) is only visible on multicore
 // hosts: with GOMAXPROCS=1 the shards time-slice one core and the two
 // configurations measure the same throughput plus scheduling overhead.
-//
-// Each shape runs twice — bank=on (the DefaultConfig fused RoomBank shard
-// step) and bank=off (per-building engine loops over private zone rows) —
-// so the fusion's effect is measured on the same host in the same run.
-// benchguard gates the bank=on N1000xS8 rate.
 func BenchmarkFleetTick(b *testing.B) {
 	cases := []struct{ buildings, shards int }{
 		{100, 8},
@@ -32,38 +27,31 @@ func BenchmarkFleetTick(b *testing.B) {
 		{10000, 8},
 	}
 	for _, c := range cases {
-		for _, bank := range []bool{true, false} {
-			name := fmt.Sprintf("N%dxS%d/bank=off", c.buildings, c.shards)
-			if bank {
-				name = fmt.Sprintf("N%dxS%d/bank=on", c.buildings, c.shards)
+		b.Run(fmt.Sprintf("N%dxS%d", c.buildings, c.shards), func(b *testing.B) {
+			cfg := fleet.DefaultConfig(c.buildings)
+			cfg.Shards = c.shards
+			ctx := context.Background()
+			// Construction (and its memory-budget gate) is untimed: the
+			// benchmark measures steady-state stepping.
+			fl, err := fleet.New(ctx, cfg)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.Run(name, func(b *testing.B) {
-				cfg := fleet.DefaultConfig(c.buildings)
-				cfg.Shards = c.shards
-				cfg.Bank = bank
-				ctx := context.Background()
-				// Construction (and its memory-budget gate) is untimed: the
-				// benchmark measures steady-state stepping.
-				fl, err := fleet.New(ctx, cfg)
-				if err != nil {
+			if err := fl.RunTicks(ctx, 60); err != nil {
+				b.Fatal(err)
+			}
+			const ticksPer = 64 // one epoch's worth of fleet ticks per iteration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := fl.RunTicks(ctx, ticksPer); err != nil {
 					b.Fatal(err)
 				}
-				if err := fl.RunTicks(ctx, 60); err != nil {
-					b.Fatal(err)
-				}
-				const ticksPer = 64 // one epoch's worth of fleet ticks per iteration
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := fl.RunTicks(ctx, ticksPer); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				buildingTicks := float64(b.N) * ticksPer * float64(c.buildings)
-				b.ReportMetric(buildingTicks/b.Elapsed().Seconds(), "building-ticks/s")
-				b.ReportMetric(float64(fl.BytesPerBuilding()), "bytes/building")
-			})
-		}
+			}
+			b.StopTimer()
+			buildingTicks := float64(b.N) * ticksPer * float64(c.buildings)
+			b.ReportMetric(buildingTicks/b.Elapsed().Seconds(), "building-ticks/s")
+			b.ReportMetric(float64(fl.BytesPerBuilding()), "bytes/building")
+		})
 	}
 }

@@ -41,7 +41,7 @@ type jsonDiag struct {
 func main() {
 	hints := flag.Bool("hints", false, "print a suggested rewrite under each diagnostic (make lint-fix-hints)")
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array instead of text")
-	staleAllow := flag.Bool("staleallow", true, "report //bzlint waivers that no longer suppress any diagnostic")
+	staleAllow := flag.Bool("staleallow", true, "report //bzlint waivers that no longer suppress any diagnostic and mutroute members that call no setter")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: bzlint [-hints] [-json] [-staleallow=false] [packages]\n\npackages default to ./...\n")
 		flag.PrintDefaults()

@@ -84,7 +84,7 @@ type SystemState struct {
 }
 
 // ExportState captures the system's full mutable state. Call it between
-// ticks, after sim.Engine.FlushCadenced.
+// sim.Engine.RunTicks calls, which flush cadenced components on every exit.
 func (s *System) ExportState() (SystemState, error) {
 	eng, err := s.engine.ExportState()
 	if err != nil {

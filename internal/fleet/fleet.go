@@ -10,7 +10,6 @@ import (
 
 	"bubblezero/internal/core"
 	"bubblezero/internal/runner"
-	"bubblezero/internal/sim"
 	"bubblezero/internal/thermal"
 )
 
@@ -22,24 +21,19 @@ import (
 const defaultEpochTicks = 512
 
 // Fleet is N independent BubbleZERO buildings stepped in lockstep epochs,
-// sharded across a bounded worker pool. With Config.Bank set, each
-// shard's buildings bind their zone state into one contiguous
-// thermal.RoomBank and the shard steps tick-phased: engines first, then
-// one fused StepAll physics pass over the whole bank.
+// sharded across a bounded worker pool.
 //
 //bzlint:guards evMu pendingEv,journal
 type Fleet struct {
 	cfg       Config
-	shards    [][]*core.System    // disjoint contiguous blocks of buildings
-	buildings []*core.System      // index order, buildings[i] is building i
-	banks     []*thermal.RoomBank // per-shard zone banks; nil when Config.Bank is off
+	shards    [][]*core.System // disjoint contiguous blocks of buildings
+	buildings []*core.System   // index order, buildings[i] is building i
 	pool      *runner.Pool
 
 	epochTicks       uint64
 	step             time.Duration
-	dtS              float64 // step in seconds, the engines' integration dt
-	ticks            uint64  // ticks advanced so far
-	bytesPerBuilding int64   // measured live-heap delta at construction
+	ticks            uint64 // ticks advanced so far
+	bytesPerBuilding int64  // measured live-heap delta at construction
 
 	// Live-mutation queue and journal (event.go). evMu guards both:
 	// Apply may race RunTicks, which drains the queue at epoch
@@ -52,8 +46,6 @@ type Fleet struct {
 // New validates cfg, instantiates the fleet's buildings in parallel, and
 // partitions them into shards. Construction measures the live-heap cost
 // per building and fails if it exceeds cfg.MemBudgetBytes.
-//
-//bzlint:mutroute fleet.Apply construction: the fleet is not running yet and takeover precedes the first tick
 func New(ctx context.Context, cfg Config) (*Fleet, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -81,7 +73,6 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 		pool:       runner.NewPool(nShards),
 		epochTicks: epoch,
 		step:       cfg.Base.Step,
-		dtS:        cfg.Base.Step.Seconds(),
 	}
 
 	// Live-heap cost per building: GC-settled HeapAlloc delta across the
@@ -91,42 +82,10 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 
-	// On the banked path each shard gets one RoomBank sized to the block
-	// partition it will own (shard s steps buildings [s*N/S, (s+1)*N/S)),
-	// and building i binds row i-lo of its shard's bank. The banks are
-	// allocated inside the measured memory window: their rows replace the
-	// per-room private storage an unbanked build would have allocated, so
-	// the budget still gates the real per-building live-heap cost.
-	var bankOf []*thermal.RoomBank
-	var rowOf []int
-	if cfg.Bank {
-		f.banks = make([]*thermal.RoomBank, nShards)
-		bankOf = make([]*thermal.RoomBank, cfg.Buildings)
-		rowOf = make([]int, cfg.Buildings)
-		for s := 0; s < nShards; s++ {
-			lo := s * cfg.Buildings / nShards
-			hi := (s + 1) * cfg.Buildings / nShards
-			bank, err := thermal.NewRoomBank(hi - lo)
-			if err != nil {
-				return nil, fmt.Errorf("fleet: shard %d bank: %w", s, err)
-			}
-			f.banks[s] = bank
-			for i := lo; i < hi; i++ {
-				bankOf[i], rowOf[i] = bank, i-lo
-			}
-		}
-	}
-
 	// Buildings are independent, so construction parallelises across the
-	// same pool that will step them. Each job writes only its own slot
-	// (bank row binding is goroutine-safe: rows are disjoint).
+	// same pool that will step them. Each job writes only its own slot.
 	if err := f.pool.ForEach(ctx, cfg.Buildings, func(_ context.Context, i int) error {
-		var bank *thermal.RoomBank
-		var row int
-		if bankOf != nil {
-			bank, row = bankOf[i], rowOf[i]
-		}
-		sys, err := newBuilding(&cfg, quiet, sampled, i, bank, row)
+		sys, err := newBuilding(&cfg, quiet, sampled, i)
 		if err != nil {
 			return fmt.Errorf("fleet: building %d: %w", i, err)
 		}
@@ -134,14 +93,6 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 		return nil
 	}); err != nil {
 		return nil, err
-	}
-
-	// Banked rooms are stepped by the shard's fused StepAll pass, not by
-	// their own engines: take each room over so the engine skips it.
-	if cfg.Bank {
-		for _, sys := range f.buildings {
-			sys.TakeOverRoom()
-		}
 	}
 
 	var after runtime.MemStats
@@ -187,18 +138,13 @@ func sharedHandles(cfg Config) (quiet, sampled *core.Shared, err error) {
 }
 
 // newBuilding assembles building i exactly as Standalone does: shared
-// template + the deterministic per-building parameterisation. A non-nil
-// bank binds the building's zone state into the given bank row; the
-// assembled system is bit-identical either way.
+// template + the deterministic per-building parameterisation.
 //
 //bzlint:mutroute fleet.Apply construction: deterministic per-building parameterisation before the first tick
-func newBuilding(cfg *Config, quiet, sampled *core.Shared, i int, bank *thermal.RoomBank, row int) (*core.System, error) {
+func newBuilding(cfg *Config, quiet, sampled *core.Shared, i int) (*core.System, error) {
 	p := cfg.ParamsFor(i)
-	opts := make([]core.Option, 0, 4)
+	opts := make([]core.Option, 0, 3)
 	opts = append(opts, core.WithSeed(p.Seed))
-	if bank != nil {
-		opts = append(opts, core.WithZoneBank(bank, row))
-	}
 	if p.Climate {
 		opts = append(opts, core.WithOutdoor(p.OutdoorC, p.OutdoorDewC))
 	}
@@ -245,9 +191,7 @@ func Standalone(cfg Config, i int) (*core.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Standalone builds are never banked: they are the private-storage
-	// reference the banked fleet's bit-identity is pinned against.
-	return newBuilding(&cfg, quiet, sampled, i, nil, 0)
+	return newBuilding(&cfg, quiet, sampled, i)
 }
 
 // stepShard advances every building the shard owns by `ticks`. This is
@@ -261,75 +205,6 @@ func stepShard(ctx context.Context, systems []*core.System, ticks uint64) error 
 			return err
 		}
 	}
-	return nil
-}
-
-// bankedCtxCheckTicks bounds how many phased ticks pass between context
-// checks on the banked path. One phased tick steps the whole shard, so a
-// check per 64 ticks is already far more frequent per unit of work than
-// RunTicks' once-per-simulated-minute cadence for any shard size.
-const bankedCtxCheckTicks = 64
-
-// flushShard flushes every engine's cadence wheel — the end-of-run
-// catch-up RunTicks performs on each of its own return paths, applied on
-// every exit from a phased epoch.
-func flushShard(systems []*core.System) {
-	for _, sys := range systems {
-		sys.Engine().FlushCadenced()
-	}
-}
-
-// bankBlockBuildings is the phased block width: how many buildings step
-// together tick-by-tick before the shard moves to the next block. Within
-// a block, each tick steps every engine then one fused StepRange pass
-// over the block's bank rows. The width trades physics fusion against
-// cache residency — a block's full working set (engines, devices,
-// controllers, zone rows) must stay resident across an epoch for the
-// phased loop to beat per-building stepping, so the width is sized for
-// a few hundred KiB, well inside L2.
-const bankBlockBuildings = 8
-
-// stepShardBanked advances a banked shard in phased blocks: for each
-// block of bankBlockBuildings buildings, every tick first steps each
-// building's engine — sensors, network, controllers, glue; the room
-// physics is taken over — then runs one fused RoomBank.StepRange pass
-// over the block's zone rows. Buildings never interact, and within a
-// tick each building's components still run in registration order with
-// its room last — exactly the position the engine would have stepped
-// it — so neither the tick-level interleaving inside a block nor the
-// block order can change any building's outputs: results are
-// bit-identical to stepShard.
-//
-//bzlint:hotpath
-func stepShardBanked(ctx context.Context, systems []*core.System, bank *thermal.RoomBank, dtS float64, ticks uint64) error {
-	for lo := 0; lo < len(systems); lo += bankBlockBuildings {
-		hi := lo + bankBlockBuildings
-		if hi > len(systems) {
-			hi = len(systems)
-		}
-		block := systems[lo:hi]
-		for t := uint64(0); t < ticks; t++ {
-			if t%bankedCtxCheckTicks == 0 {
-				select {
-				case <-ctx.Done():
-					flushShard(systems)
-					//bzlint:allow hotpath cold cancellation exit, runs at most once per run
-					return fmt.Errorf("fleet: run: %w", ctx.Err())
-				default:
-				}
-			}
-			for _, sys := range block {
-				if sys.Engine().StepTick() {
-					// Fleet buildings install no stop conditions today; mirror
-					// RunTicks' contract anyway so one never silently no-ops.
-					flushShard(systems)
-					return sim.ErrStopped
-				}
-			}
-			bank.StepRange(lo, hi, dtS)
-		}
-	}
-	flushShard(systems)
 	return nil
 }
 
@@ -348,9 +223,6 @@ func (f *Fleet) RunTicks(ctx context.Context, n uint64) error {
 			t = n
 		}
 		if err := f.pool.ForEach(ctx, len(f.shards), func(ctx context.Context, s int) error {
-			if f.banks != nil {
-				return stepShardBanked(ctx, f.shards[s], f.banks[s], f.dtS, t)
-			}
 			return stepShard(ctx, f.shards[s], t)
 		}); err != nil {
 			return err
@@ -372,9 +244,6 @@ func (f *Fleet) Buildings() int { return len(f.buildings) }
 
 // Shards returns the effective shard count.
 func (f *Fleet) Shards() int { return len(f.shards) }
-
-// Banked reports whether the fleet steps through per-shard zone banks.
-func (f *Fleet) Banked() bool { return f.banks != nil }
 
 // Ticks returns how many ticks every building has advanced.
 func (f *Fleet) Ticks() uint64 { return f.ticks }

@@ -193,13 +193,13 @@ func roomStateKey(sys *core.System) string {
 	return sb.String()
 }
 
-// TestFleetBankBitIdenticalAcrossShards pins the fused-bank tentpole:
-// a banked fleet's buildings are bit-identical to their unbanked
-// Standalone references at every shard count, including a shard that
-// mixes a fault-plan building with retention-sampled buildings (at
-// shards=3 the middle shard owns buildings {2,3,4}: 2 and 4 sampled
-// with bounded retention, 3 carrying the fault plan).
-func TestFleetBankBitIdenticalAcrossShards(t *testing.T) {
+// TestFleetMixedShardBitIdenticalToStandalone pins a fleet's buildings
+// bit-identical to their Standalone references — zone state and trace —
+// at every shard count, including a shard that mixes a fault-plan
+// building with retention-sampled buildings (at shards=3 the middle shard
+// owns buildings {2,3,4}: 2 and 4 sampled with bounded retention, 3
+// carrying the fault plan).
+func TestFleetMixedShardBitIdenticalToStandalone(t *testing.T) {
 	const (
 		buildings = 8
 		ticks     = 900
@@ -222,8 +222,6 @@ func TestFleetBankBitIdenticalAcrossShards(t *testing.T) {
 		return plan
 	}
 
-	// Standalone builds are never banked: the reference is the room with
-	// private storage, stepped in-line by its own engine.
 	wantTrace := make([]string, buildings)
 	wantState := make([]string, buildings)
 	for i := 0; i < buildings; i++ {
@@ -245,18 +243,15 @@ func TestFleetBankBitIdenticalAcrossShards(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New(shards=%d): %v", shards, err)
 		}
-		if !fl.Banked() {
-			t.Fatalf("shards=%d: fleet is not banked with Config.Bank set", shards)
-		}
 		if err := fl.RunTicks(context.Background(), ticks); err != nil {
 			t.Fatalf("RunTicks(shards=%d): %v", shards, err)
 		}
 		for i := 0; i < buildings; i++ {
 			if got := roomStateKey(fl.Building(i)); got != wantState[i] {
-				t.Errorf("shards=%d building %d: banked zone state diverged from standalone", shards, i)
+				t.Errorf("shards=%d building %d: zone state diverged from standalone", shards, i)
 			}
 			if got := traceSHA(t, fl.Building(i)); got != wantTrace[i] {
-				t.Errorf("shards=%d building %d: banked trace %s != standalone %s",
+				t.Errorf("shards=%d building %d: trace %s != standalone %s",
 					shards, i, got[:12], wantTrace[i][:12])
 			}
 		}
@@ -270,99 +265,87 @@ func TestFleetBankBitIdenticalAcrossShards(t *testing.T) {
 // jobs slice and its closures — 3 objects on the single-shard fast
 // path), independent of the tick count covered.
 func TestFleetTickSteadyStateAllocs(t *testing.T) {
-	for _, bank := range []bool{true, false} {
-		t.Run(fmt.Sprintf("bank=%v", bank), func(t *testing.T) {
-			cfg := DefaultConfig(12)
-			cfg.Shards = 1
-			cfg.EpochTicks = 256
-			cfg.Bank = bank
-			f, err := New(context.Background(), cfg)
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
-			ctx := context.Background()
-			// Warm up past the adaptive layer's range-learning phase (the
-			// paper's var_max settles within ~1.5 simulated hours).
-			if err := f.RunTicks(ctx, 12000); err != nil {
-				t.Fatalf("warm-up: %v", err)
-			}
-			avg := testing.AllocsPerRun(5, func() {
-				if err := f.RunTicks(ctx, 256); err != nil {
-					t.Fatalf("RunTicks: %v", err)
-				}
-			})
-			if avg > 4 {
-				t.Errorf("steady-state fleet epoch allocated %.1f objects, want <= 4 (dispatch scaffolding only)", avg)
-			}
-		})
+	cfg := DefaultConfig(12)
+	cfg.Shards = 1
+	cfg.EpochTicks = 256
+	f, err := New(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ctx := context.Background()
+	// Warm up past the adaptive layer's range-learning phase (the
+	// paper's var_max settles within ~1.5 simulated hours).
+	if err := f.RunTicks(ctx, 12000); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+	avg := testing.AllocsPerRun(5, func() {
+		if err := f.RunTicks(ctx, 256); err != nil {
+			t.Fatalf("RunTicks: %v", err)
+		}
+	})
+	if avg > 4 {
+		t.Errorf("steady-state fleet epoch allocated %.1f objects, want <= 4 (dispatch scaffolding only)", avg)
 	}
 }
 
 // TestFleetClimateEventMatchesPerBuilding pins the shared-climate fast
 // path behind the event API: a queued EventClimate — applied at the next
-// epoch boundary as a bank-level SetClimateAll per shard on the banked
-// path, a per-system loop otherwise — must be bit-identical to each
-// building recomputing its own boundary terms via Room.SetOutdoor. Both
-// updates land between RunTicks calls at ticks 300 and 512+300, neither a
-// multiple of the 512-tick epoch grid, so the banked path proves a
-// weather change between phased epochs reaches every bank row.
+// epoch boundary as one precomputed Climate installed on every room —
+// must be bit-identical to each building recomputing its own boundary
+// terms via Room.SetOutdoor. Both updates land between RunTicks calls at
+// ticks 300 and 512+300, neither a multiple of the 512-tick epoch grid.
 func TestFleetClimateEventMatchesPerBuilding(t *testing.T) {
 	const buildings = 4
-	for _, bank := range []bool{true, false} {
-		t.Run(fmt.Sprintf("bank=%v", bank), func(t *testing.T) {
-			cfg := DefaultConfig(buildings)
-			cfg.SampleEvery = 1
-			cfg.MemBudgetBytes = 0
-			cfg.Shards = 2
-			cfg.EpochTicks = 512
-			cfg.Bank = bank
+	cfg := DefaultConfig(buildings)
+	cfg.SampleEvery = 1
+	cfg.MemBudgetBytes = 0
+	cfg.Shards = 2
+	cfg.EpochTicks = 512
 
-			mk := func() *Fleet {
-				fl, err := New(context.Background(), cfg)
-				if err != nil {
-					t.Fatalf("New: %v", err)
-				}
-				if err := fl.RunTicks(context.Background(), 300); err != nil {
-					t.Fatalf("RunTicks: %v", err)
-				}
-				return fl
-			}
-			shared, perBuilding := mk(), mk()
+	mk := func() *Fleet {
+		fl, err := New(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if err := fl.RunTicks(context.Background(), 300); err != nil {
+			t.Fatalf("RunTicks: %v", err)
+		}
+		return fl
+	}
+	shared, perBuilding := mk(), mk()
 
-			update := func(tC, dewC float64) {
-				if err := shared.Apply(Event{Kind: EventClimate, TC: tC, DewC: dewC}); err != nil {
-					t.Fatalf("Apply climate event: %v", err)
-				}
-				for i := 0; i < buildings; i++ {
-					perBuilding.Building(i).Room().SetOutdoor(psychro.NewStateDewPoint(tC, dewC, 0))
-				}
-			}
-			run := func(n uint64) {
-				if err := shared.RunTicks(context.Background(), n); err != nil {
-					t.Fatalf("RunTicks after climate event: %v", err)
-				}
-				if err := perBuilding.RunTicks(context.Background(), n); err != nil {
-					t.Fatalf("RunTicks after per-building SetOutdoor: %v", err)
-				}
-			}
-			update(33.0, 27.8)
-			run(512) // crosses the epoch boundary at tick 512
-			update(29.5, 26.0)
-			run(300)
+	update := func(tC, dewC float64) {
+		if err := shared.Apply(Event{Kind: EventClimate, TC: tC, DewC: dewC}); err != nil {
+			t.Fatalf("Apply climate event: %v", err)
+		}
+		for i := 0; i < buildings; i++ {
+			perBuilding.Building(i).Room().SetOutdoor(psychro.NewStateDewPoint(tC, dewC, 0))
+		}
+	}
+	run := func(n uint64) {
+		if err := shared.RunTicks(context.Background(), n); err != nil {
+			t.Fatalf("RunTicks after climate event: %v", err)
+		}
+		if err := perBuilding.RunTicks(context.Background(), n); err != nil {
+			t.Fatalf("RunTicks after per-building SetOutdoor: %v", err)
+		}
+	}
+	update(33.0, 27.8)
+	run(512) // crosses the epoch boundary at tick 512
+	update(29.5, 26.0)
+	run(300)
 
-			for i := 0; i < buildings; i++ {
-				a, b := traceSHA(t, shared.Building(i)), traceSHA(t, perBuilding.Building(i))
-				if a != b {
-					t.Errorf("building %d: climate-event trace %s != per-building %s", i, a[:12], b[:12])
-				}
-				if got := shared.Building(i).Room().Outdoor().T; got != 29.5 {
-					t.Errorf("building %d: outdoor T = %v after climate event, want 29.5", i, got)
-				}
-			}
-			if j := shared.Journal(); len(j) != 2 || j[0].Tick != 300 || j[1].Tick != 812 {
-				t.Errorf("journal = %+v, want two climate entries at ticks 300 and 812", j)
-			}
-		})
+	for i := 0; i < buildings; i++ {
+		a, b := traceSHA(t, shared.Building(i)), traceSHA(t, perBuilding.Building(i))
+		if a != b {
+			t.Errorf("building %d: climate-event trace %s != per-building %s", i, a[:12], b[:12])
+		}
+		if got := shared.Building(i).Room().Outdoor().T; got != 29.5 {
+			t.Errorf("building %d: outdoor T = %v after climate event, want 29.5", i, got)
+		}
+	}
+	if j := shared.Journal(); len(j) != 2 || j[0].Tick != 300 || j[1].Tick != 812 {
+		t.Errorf("journal = %+v, want two climate entries at ticks 300 and 812", j)
 	}
 }
 

@@ -10,16 +10,15 @@ import (
 )
 
 // snapshotCfg is the round-trip scenario: a small sharded fleet with full
-// sampling, a construction fault plan on building 1 (so its watchdog is
-// armed and its state travels in the snapshot), banked or not.
-func snapshotCfg(t *testing.T, bank bool) Config {
+// sampling and a construction fault plan on building 1 (so its watchdog
+// is armed and its state travels in the snapshot).
+func snapshotCfg(t *testing.T) Config {
 	t.Helper()
 	cfg := DefaultConfig(4)
 	cfg.SampleEvery = 1
 	cfg.MemBudgetBytes = 0
 	cfg.Shards = 2
 	cfg.EpochTicks = 256
-	cfg.Bank = bank
 	cfg.FaultPlan = func(i int, seed uint64) *fault.Plan {
 		if i != 1 {
 			return nil
@@ -73,71 +72,67 @@ func TestFleetSnapshotRoundTrip(t *testing.T) {
 		snapTicks = 256 // mutation batch → checkpoint at tick 556
 		endTicks  = 900
 	)
-	for _, bank := range []bool{true, false} {
-		t.Run(boolName("bank", bank), func(t *testing.T) {
-			cfg := snapshotCfg(t, bank)
+	cfg := snapshotCfg(t)
 
-			// Uninterrupted reference.
-			ref, err := New(context.Background(), cfg)
-			if err != nil {
-				t.Fatalf("New(ref): %v", err)
-			}
-			if err := ref.RunTicks(context.Background(), preTicks); err != nil {
-				t.Fatalf("ref pre-run: %v", err)
-			}
-			applyAll(t, ref, liveEvents())
-			if err := ref.RunTicks(context.Background(), endTicks-preTicks); err != nil {
-				t.Fatalf("ref run to end: %v", err)
-			}
+	// Uninterrupted reference.
+	ref, err := New(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("New(ref): %v", err)
+	}
+	if err := ref.RunTicks(context.Background(), preTicks); err != nil {
+		t.Fatalf("ref pre-run: %v", err)
+	}
+	applyAll(t, ref, liveEvents())
+	if err := ref.RunTicks(context.Background(), endTicks-preTicks); err != nil {
+		t.Fatalf("ref run to end: %v", err)
+	}
 
-			// Checkpointed run: identical through tick 556, then export.
-			chk, err := New(context.Background(), cfg)
-			if err != nil {
-				t.Fatalf("New(chk): %v", err)
-			}
-			if err := chk.RunTicks(context.Background(), preTicks); err != nil {
-				t.Fatalf("chk pre-run: %v", err)
-			}
-			applyAll(t, chk, liveEvents())
-			if err := chk.RunTicks(context.Background(), snapTicks); err != nil {
-				t.Fatalf("chk run to snapshot: %v", err)
-			}
-			st, err := chk.ExportState()
-			if err != nil {
-				t.Fatalf("ExportState: %v", err)
-			}
-			if st.Ticks != preTicks+snapTicks {
-				t.Fatalf("snapshot Ticks = %d, want %d", st.Ticks, preTicks+snapTicks)
-			}
+	// Checkpointed run: identical through tick 556, then export.
+	chk, err := New(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("New(chk): %v", err)
+	}
+	if err := chk.RunTicks(context.Background(), preTicks); err != nil {
+		t.Fatalf("chk pre-run: %v", err)
+	}
+	applyAll(t, chk, liveEvents())
+	if err := chk.RunTicks(context.Background(), snapTicks); err != nil {
+		t.Fatalf("chk run to snapshot: %v", err)
+	}
+	st, err := chk.ExportState()
+	if err != nil {
+		t.Fatalf("ExportState: %v", err)
+	}
+	if st.Ticks != preTicks+snapTicks {
+		t.Fatalf("snapshot Ticks = %d, want %d", st.Ticks, preTicks+snapTicks)
+	}
 
-			// Fresh process stand-in: new fleet from the same config,
-			// restored, run to the end.
-			res, err := New(context.Background(), cfg)
-			if err != nil {
-				t.Fatalf("New(res): %v", err)
-			}
-			if err := res.RestoreState(st); err != nil {
-				t.Fatalf("RestoreState: %v", err)
-			}
-			if err := res.RunTicks(context.Background(), endTicks-preTicks-snapTicks); err != nil {
-				t.Fatalf("restored run to end: %v", err)
-			}
+	// Fresh process stand-in: new fleet from the same config, restored,
+	// run to the end.
+	res, err := New(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("New(res): %v", err)
+	}
+	if err := res.RestoreState(st); err != nil {
+		t.Fatalf("RestoreState: %v", err)
+	}
+	if err := res.RunTicks(context.Background(), endTicks-preTicks-snapTicks); err != nil {
+		t.Fatalf("restored run to end: %v", err)
+	}
 
-			if got := res.Ticks(); got != endTicks {
-				t.Fatalf("restored Ticks() = %d, want %d", got, endTicks)
-			}
-			for i := 0; i < cfg.Buildings; i++ {
-				if got, want := roomStateKey(res.Building(i)), roomStateKey(ref.Building(i)); got != want {
-					t.Errorf("building %d: restored zone state diverged from uninterrupted run", i)
-				}
-				if got, want := traceSHA(t, res.Building(i)), traceSHA(t, ref.Building(i)); got != want {
-					t.Errorf("building %d: restored trace %s != uninterrupted %s", i, got[:12], want[:12])
-				}
-			}
-			if got, want := res.Journal(), ref.Journal(); len(got) != len(want) {
-				t.Errorf("restored journal has %d entries, reference %d", len(got), len(want))
-			}
-		})
+	if got := res.Ticks(); got != endTicks {
+		t.Fatalf("restored Ticks() = %d, want %d", got, endTicks)
+	}
+	for i := 0; i < cfg.Buildings; i++ {
+		if got, want := roomStateKey(res.Building(i)), roomStateKey(ref.Building(i)); got != want {
+			t.Errorf("building %d: restored zone state diverged from uninterrupted run", i)
+		}
+		if got, want := traceSHA(t, res.Building(i)), traceSHA(t, ref.Building(i)); got != want {
+			t.Errorf("building %d: restored trace %s != uninterrupted %s", i, got[:12], want[:12])
+		}
+	}
+	if got, want := res.Journal(), ref.Journal(); len(got) != len(want) {
+		t.Errorf("restored journal has %d entries, reference %d", len(got), len(want))
 	}
 }
 
@@ -145,7 +140,7 @@ func TestFleetSnapshotRoundTrip(t *testing.T) {
 // export time land in the snapshot: they are applied at the current
 // boundary and journaled, not dropped.
 func TestFleetSnapshotExportDrainsPending(t *testing.T) {
-	cfg := snapshotCfg(t, false)
+	cfg := snapshotCfg(t)
 	fl, err := New(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -172,7 +167,7 @@ func TestFleetSnapshotExportDrainsPending(t *testing.T) {
 // refuses a fleet that has already run and a snapshot sized for a
 // different fleet.
 func TestFleetRestoreRejectsMismatch(t *testing.T) {
-	cfg := snapshotCfg(t, false)
+	cfg := snapshotCfg(t)
 	src, err := New(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -198,11 +193,4 @@ func TestFleetRestoreRejectsMismatch(t *testing.T) {
 	if err := tgt.RestoreState(st); err == nil || !strings.Contains(err.Error(), "buildings") {
 		t.Fatalf("restore into wrong-size fleet: err = %v, want building-count guard", err)
 	}
-}
-
-func boolName(prefix string, v bool) string {
-	if v {
-		return prefix + "=true"
-	}
-	return prefix + "=false"
 }

@@ -27,9 +27,11 @@ type Config struct {
 	// carry //bzlint:allow floateq waivers.
 	FloatEq map[string]bool
 	// StaleAllow reports //bzlint:allow and //bzlint:ordered waivers that
-	// no longer suppress any diagnostic. A stale waiver is a hole in the
+	// no longer suppress any diagnostic, and //bzlint:mutroute members
+	// that call no setter of their route. A stale waiver is a hole in the
 	// policy: the code it excused is gone, but the excuse would still
-	// silence a future finding on that line.
+	// silence a future finding on that line, or admit a future setter call
+	// nobody audited.
 	StaleAllow bool
 }
 
@@ -116,10 +118,22 @@ type orderedDir struct {
 	used bool
 }
 
-// fileDirectives indexes one file's bzlint waiver comments by line.
+// routeDir is one //bzlint:mutroute membership, with usage tracked for
+// the stale-waiver report: a member that calls no setter of its route
+// admits nothing.
+type routeDir struct {
+	pos   token.Pos // the member's declaration
+	fn    string
+	route string
+	used  bool
+}
+
+// fileDirectives indexes one file's bzlint waiver comments by line, plus
+// the file's //bzlint:mutroute members (collected by runMutroute).
 type fileDirectives struct {
 	ordered map[int]*orderedDir
 	allow   map[int]map[string]*allowDir // line → analyzer → waiver
+	routes  []*routeDir
 }
 
 // pass bundles what every analyzer needs: the package under analysis,
@@ -285,8 +299,8 @@ func (p *pass) report(f *ast.File, pos token.Pos, analyzer, msg, hint string) {
 }
 
 // runStaleAllow reports waivers that suppressed nothing across the whole
-// run. Runs last: every analyzer must have had its chance to consume
-// them first.
+// run, and mutroute members that called no setter of their route. Runs
+// last: every analyzer must have had its chance to consume them first.
 func runStaleAllow(passes map[*Package]*pass) {
 	for _, p := range passes {
 		for _, d := range p.dirs {
@@ -304,6 +318,13 @@ func runStaleAllow(passes map[*Package]*pass) {
 							fmt.Sprintf("//bzlint:allow %s waiver suppresses no diagnostic", an),
 							"the finding it excused is gone; delete the stale waiver")
 					}
+				}
+			}
+			for _, rd := range d.routes {
+				if !rd.used {
+					p.emit(rd.pos, "staleallow",
+						fmt.Sprintf("//bzlint:mutroute %s member %s calls no setter of the route", rd.route, rd.fn),
+						"the setter call it admitted is gone; delete the stale annotation")
 				}
 			}
 		}

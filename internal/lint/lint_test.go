@@ -161,11 +161,13 @@ func TestMutrouteGolden(t *testing.T) {
 	checkGolden(t, "mutset", diags, "mutcall")
 }
 
-// TestStaleAllow pins the stale-waiver report: a consumed waiver is
-// silent, an ordered waiver with no map range left and an allow waiver
-// whose finding is gone are both reported. (The diagnostics land on the
-// waivers' own comment lines, which a want comment cannot annotate
-// without becoming part of the waiver reason, hence direct assertions.)
+// TestStaleAllow pins the stale-waiver report: a consumed waiver and a
+// mutroute member that calls its route's setter are silent; an ordered
+// waiver with no map range left, an allow waiver whose finding is gone,
+// and a mutroute member that calls no setter are reported. (The waiver
+// diagnostics land on the waivers' own comment lines, which a want
+// comment cannot annotate without becoming part of the waiver reason,
+// hence direct assertions.)
 func TestStaleAllow(t *testing.T) {
 	l, err := NewLoader(".")
 	if err != nil {
@@ -188,14 +190,17 @@ func TestStaleAllow(t *testing.T) {
 		}
 		stale = append(stale, d)
 	}
-	if len(stale) != 2 {
-		t.Fatalf("got %d staleallow diagnostics %v, want 2", len(stale), stale)
+	if len(stale) != 3 {
+		t.Fatalf("got %d staleallow diagnostics %v, want 3", len(stale), stale)
 	}
 	if !strings.Contains(stale[0].Message, "//bzlint:ordered waiver suppresses no diagnostic") {
 		t.Errorf("stale[0] = %q, want stale-ordered report", stale[0].Message)
 	}
 	if !strings.Contains(stale[1].Message, "//bzlint:allow floateq waiver suppresses no diagnostic") {
 		t.Errorf("stale[1] = %q, want stale-allow report", stale[1].Message)
+	}
+	if !strings.Contains(stale[2].Message, "//bzlint:mutroute stale.Route member Orphan calls no setter") {
+		t.Errorf("stale[2] = %q, want stale-mutroute report on Orphan", stale[2].Message)
 	}
 
 	// With StaleAllow off the same package is clean: the consumed waiver

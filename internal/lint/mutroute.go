@@ -28,20 +28,20 @@ import (
 //   - a //bzlint:allow mutroute <reason> waived call site.
 //
 // Everything else is a finding whose hint points at the route name.
+//
+// Membership is tracked too: a //bzlint:mutroute member whose body calls
+// no setter of its route admits nothing, and the stale-waiver report
+// (runStaleAllow) flags it so the annotation cannot outlive the call it
+// excused.
 func runMutroute(pkgs []*Package, passes map[*Package]*pass) {
 	const an = "mutroute"
 
 	// Pass 1: collect setter declarations and route members.
 	setterRoute := map[string]string{} // types.Func.FullName → route
 	setterPkg := map[string]*Package{}
-	memberRoute := map[string]map[string]bool{} // FullName → routes it belongs to
-	addMember := func(full, route string) {
-		if memberRoute[full] == nil {
-			memberRoute[full] = map[string]bool{}
-		}
-		memberRoute[full][route] = true
-	}
+	memberDirs := map[string][]*routeDir{} // FullName → its //bzlint:mutroute annotations
 	for _, pkg := range pkgs {
+		dirs := passes[pkg].dirs
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
@@ -55,10 +55,11 @@ func runMutroute(pkgs []*Package, passes map[*Package]*pass) {
 				for _, args := range declDirectives(fd.Doc, "mutsetter") {
 					setterRoute[obj.FullName()] = args[0]
 					setterPkg[obj.FullName()] = pkg
-					addMember(obj.FullName(), args[0])
 				}
 				for _, args := range declDirectives(fd.Doc, "mutroute") {
-					addMember(obj.FullName(), args[0])
+					rd := &routeDir{pos: fd.Pos(), fn: fd.Name.Name, route: args[0]}
+					memberDirs[obj.FullName()] = append(memberDirs[obj.FullName()], rd)
+					dirs[f].routes = append(dirs[f].routes, rd)
 				}
 			}
 		}
@@ -99,14 +100,22 @@ func runMutroute(pkgs []*Package, passes map[*Package]*pass) {
 				if !isSetter {
 					return true
 				}
-				if pkg == setterPkg[fn.FullName()] {
-					return true // in-package: construction and restore plumbing
-				}
+				member := false // the caller is a setter or a mutroute member of this route
 				if fd := enclosing(call.Pos()); fd != nil {
-					if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok &&
-						memberRoute[obj.FullName()][route] {
-						return true
+					if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+						caller := obj.FullName()
+						r, callerIsSetter := setterRoute[caller]
+						member = callerIsSetter && r == route
+						for _, rd := range memberDirs[caller] {
+							if rd.route == route {
+								rd.used = true
+								member = true
+							}
+						}
 					}
+				}
+				if member || pkg == setterPkg[fn.FullName()] {
+					return true // a route member, or in-package construction and restore plumbing
 				}
 				p.report(f, call.Pos(), an,
 					fmt.Sprintf("call to %s bypasses mutation route %s", fn.FullName(), route),

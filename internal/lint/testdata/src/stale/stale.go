@@ -1,6 +1,7 @@
 // Package stale is the staleallow fixture: one consumed //bzlint:ordered
-// waiver (not reported), one ordered waiver with no map range left, and
-// one allow waiver whose finding is gone.
+// waiver (not reported), one ordered waiver with no map range left, one
+// allow waiver whose finding is gone, one //bzlint:mutroute member that
+// still calls its route's setter (not reported), and one that calls none.
 package stale
 
 // Sum consumes its waiver: the map range below is a real diagnostic the
@@ -24,4 +25,30 @@ func Plain() int {
 func Ratio() float64 {
 	//bzlint:allow floateq the comparison this excused was deleted
 	return 2.5
+}
+
+// Room is the state the fixture route guards.
+type Room struct {
+	occ int
+}
+
+// SetOcc is the route's setter.
+//
+//bzlint:mutsetter stale.Route
+func (r *Room) SetOcc(n int) {
+	r.occ = n
+}
+
+// Admit still calls the setter; its membership is live.
+//
+//bzlint:mutroute stale.Route audited entry point of this fixture
+func Admit(r *Room, n int) {
+	r.SetOcc(n)
+}
+
+// Orphan calls no setter of its route; its membership is stale.
+//
+//bzlint:mutroute stale.Route the setter call this admitted was deleted
+func Orphan(r *Room) int {
+	return r.occ
 }

@@ -96,7 +96,7 @@ type Engine struct {
 	always  []*entry // every-tick and on-demand entries, registration order
 	wheel   dueWheel // cadenced entries, hashed by due tick
 
-	env *Env // lazily built, reused by every run entry point
+	env *Env // built by the first RunTicks, reused by every later one
 }
 
 // NewEngine returns an engine over the given clock and seed.
@@ -175,7 +175,14 @@ func (e *Engine) RunFor(ctx context.Context, d time.Duration) error {
 //
 //bzlint:hotpath
 func (e *Engine) RunTicks(ctx context.Context, n uint64) error {
-	env := e.sharedEnv()
+	// An Env is an immutable view (clock pointer, RNG pointer, fixed dt), so
+	// one instance serves every run for the engine's life — fleets running
+	// thousands of engines per epoch would otherwise pay one allocation per
+	// engine per epoch.
+	if e.env == nil {
+		e.env = NewEnv(e.clock, e.rng)
+	}
+	env := e.env
 	ctxCheckEvery := e.ctxCheckEvery()
 	for i := uint64(0); i < n; i++ {
 		if i%ctxCheckEvery == 0 {
@@ -198,49 +205,6 @@ func (e *Engine) RunTicks(ctx context.Context, n uint64) error {
 	e.catchUp(env)
 	return nil
 }
-
-// sharedEnv returns the engine's reusable per-tick Env. An Env is an
-// immutable view (clock pointer, RNG pointer, fixed dt), so one instance
-// serves every run for the engine's life — fleets stepping thousands of
-// engines tick-by-tick would otherwise pay one allocation per engine per
-// epoch.
-func (e *Engine) sharedEnv() *Env {
-	if e.env == nil {
-		e.env = NewEnv(e.clock, e.rng)
-	}
-	return e.env
-}
-
-// StepTick advances the simulation by exactly one tick — the fine-grained
-// form of RunTicks for callers that interleave engine ticks with work the
-// engine does not schedule (a fleet shard stepping every building's
-// taken-over physics in one fused pass between ticks). It fires due
-// timeline events, steps due components, and advances the clock; the
-// caller owns context checks and must call FlushCadenced before observing
-// cadenced component state.
-//
-// The return value reports whether the engine's stop condition fired this
-// tick. The condition is evaluated inside the tick, so components taken
-// over and stepped externally after StepTick returns are seen pre-step;
-// engines driven through StepTick should either have no stop condition or
-// one that does not read taken-over state.
-//
-//bzlint:hotpath
-func (e *Engine) StepTick() bool {
-	env := e.sharedEnv()
-	e.timeline.fire(env)
-	e.stepDue(env)
-	e.clock.Advance()
-	return e.stopFn != nil && e.stopFn(env)
-}
-
-// FlushCadenced catches every cadenced component up through the current
-// tick — the end-of-run flush RunTicks performs on its own return paths.
-// Callers driving the engine via StepTick must invoke it before observers
-// read cadenced component state (and at the latest when the run ends);
-// splitting a run's flushes across multiple calls is bit-identical to one
-// final flush by the StepN contract.
-func (e *Engine) FlushCadenced() { e.catchUp(e.sharedEnv()) }
 
 // stepDue advances every component scheduled for the current tick: the
 // wheel entries due now, merged with the every-tick list in registration

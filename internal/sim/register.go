@@ -101,41 +101,6 @@ func (r *Registration) Resume() {
 // Suspended reports whether the component is currently suspended.
 func (r *Registration) Suspended() bool { return r.ent.suspended }
 
-// TakeOver removes an every-tick component from the engine's delivery: the
-// caller assumes responsibility for stepping it on every tick, outside the
-// engine. This is the fleet's physics-takeover hook — a shard takes over
-// each building's room and steps all of them in one fused bank pass
-// between engine ticks. Because the component was registered last in its
-// engine's step order (or the caller otherwise steps it at the position it
-// held), the externally driven schedule is the same sequence of Step calls
-// the engine would have made, so results are unchanged.
-//
-// Only plain every-tick components can be taken over: cadenced and
-// on-demand entries have engine-owned schedule state that an external
-// stepper cannot honor. Suspension does not apply to a taken-over
-// component — the external stepper bypasses the scheduler entirely.
-// Panics if the component is cadenced, on-demand, or already taken over.
-func (r *Registration) TakeOver() {
-	ent := r.ent
-	if ent.cad != nil || ent.onDemand {
-		panic("sim: Registration.TakeOver: component " + ent.c.Name() + " is not a plain every-tick component")
-	}
-	if ent.takenOver {
-		panic("sim: Registration.TakeOver: component " + ent.c.Name() + " already taken over")
-	}
-	for i, a := range r.e.always {
-		if a == ent {
-			r.e.always = append(r.e.always[:i], r.e.always[i+1:]...)
-			ent.takenOver = true
-			return
-		}
-	}
-	panic("sim: Registration.TakeOver: component " + ent.c.Name() + " not on the every-tick list")
-}
-
-// TakenOver reports whether the component's stepping was taken over.
-func (r *Registration) TakenOver() bool { return r.ent.takenOver }
-
 func (r *Registration) checkFaultable(op string) {
 	if !r.faultable {
 		panic("sim: Registration." + op + ": component " + r.ent.c.Name() + " not registered WithFaultable")

@@ -50,12 +50,9 @@ type EntrySched struct {
 	// Steps and RegTick feed StepStats.
 	Steps   uint64
 	RegTick uint64
-	// Woken is the on-demand latch; Suspended the fault-injection flag;
-	// TakenOver the external-stepper flag (structural — verified, not
-	// restored: the rebuilder must have taken over the same components).
+	// Woken is the on-demand latch; Suspended the fault-injection flag.
 	Woken     bool
 	Suspended bool
-	TakenOver bool
 }
 
 // EngineState is everything the engine itself contributes to a snapshot.
@@ -70,8 +67,9 @@ type EngineState struct {
 }
 
 // ExportState captures the engine's scheduling and randomness state.
-// Call it between ticks (e.g. at an epoch boundary) after FlushCadenced —
-// the same quiescent point RestoreState resumes from.
+// Call it between RunTicks calls (e.g. at an epoch boundary): every
+// RunTicks exit flushes the cadence wheel, so that is the same quiescent
+// point RestoreState resumes from.
 func (e *Engine) ExportState() (EngineState, error) {
 	streams, err := e.rng.exportStreams()
 	if err != nil {
@@ -91,7 +89,6 @@ func (e *Engine) ExportState() (EngineState, error) {
 			RegTick:     ent.regTick,
 			Woken:       ent.woken,
 			Suspended:   ent.suspended,
-			TakenOver:   ent.takenOver,
 		}
 		if fc, ok := ent.c.(*fixedCadence); ok {
 			es.UntilDue = fc.untilDue
@@ -118,10 +115,6 @@ func (e *Engine) RestoreState(st EngineState) error {
 		if ent.c.Name() != es.Name {
 			return fmt.Errorf("sim: restore: registration %d is %q, snapshot has %q",
 				i, ent.c.Name(), es.Name)
-		}
-		if ent.takenOver != es.TakenOver {
-			return fmt.Errorf("sim: restore: registration %q taken-over mismatch (have %v, snapshot %v)",
-				es.Name, ent.takenOver, es.TakenOver)
 		}
 	}
 	if err := e.rng.restoreStreams(st.Streams); err != nil {

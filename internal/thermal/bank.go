@@ -13,12 +13,14 @@ import (
 // into its row — the same pointer layout an unbanked Room gets from its
 // private roomRows — so every Room method, including the unrolled
 // StepBatch kernel, runs unchanged and per-building results are
-// bit-identical to a standalone Room by construction. What the bank
-// changes is locality: a shard stepping thousands of buildings streams
-// one packed array per balance instead of hopping between per-building
-// heap islands.
+// bit-identical to a standalone Room by construction.
+//
+// No production path uses a bank: a fleet steps each building's room
+// inside that building's own engine, which measured as fast or faster at
+// every fleet shape. RoomBank remains as the subject of the benchmark's
+// thermal.bank_step_ns_per_row layer metric, which times StepAll over
+// packed rows.
 type RoomBank struct {
-	n         int
 	t, w, co2 []float64 // len n*NumZones
 	kern      []kernelTerms
 	bnd       []boundaryTerms
@@ -28,14 +30,12 @@ type RoomBank struct {
 
 // NewRoomBank allocates storage for n buildings' zone state. Rows are
 // bound one at a time via RoomBank.NewRoom / NewRoomAtOutdoor; binding
-// distinct rows from different goroutines is safe (disjoint writes), which
-// lets a fleet construct buildings in parallel straight into the bank.
+// distinct rows from different goroutines is safe (disjoint writes).
 func NewRoomBank(n int) (*RoomBank, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("thermal: RoomBank size must be > 0, got %d", n)
 	}
 	return &RoomBank{
-		n:     n,
 		t:     make([]float64, n*NumZones),
 		w:     make([]float64, n*NumZones),
 		co2:   make([]float64, n*NumZones),
@@ -46,24 +46,13 @@ func NewRoomBank(n int) (*RoomBank, error) {
 	}, nil
 }
 
-// Len returns the bank's capacity in buildings.
-func (bk *RoomBank) Len() int { return bk.n }
-
-// Room returns the room bound to a row (nil if unbound or out of range).
-func (bk *RoomBank) Room(row int) *Room {
-	if row < 0 || row >= bk.n {
-		return nil
-	}
-	return bk.rooms[row]
-}
-
 // NewRoom builds a Room whose state lives in the bank's row — the banked
 // counterpart of the package-level NewRoom. The slice-to-array-pointer
 // views carry the compile-time NumZones length, so the kernel's accesses
 // stay bounds-check-free exactly as on the owned-rows path.
 func (bk *RoomBank) NewRoom(row int, cfg Config, initial psychro.State, initialCO2 float64) (*Room, error) {
-	if row < 0 || row >= bk.n {
-		return nil, fmt.Errorf("thermal: RoomBank row %d out of range [0, %d)", row, bk.n)
+	if row < 0 || row >= len(bk.rooms) {
+		return nil, fmt.Errorf("thermal: RoomBank row %d out of range [0, %d)", row, len(bk.rooms))
 	}
 	if bk.rooms[row] != nil {
 		return nil, fmt.Errorf("thermal: RoomBank row %d already bound", row)
@@ -90,48 +79,17 @@ func (bk *RoomBank) NewRoomAtOutdoor(row int, cfg Config) (*Room, error) {
 	return bk.NewRoom(row, cfg, cfg.Outdoor, cfg.OutdoorCO2PPM)
 }
 
-// StepAll advances every bound room by dt seconds in one fused pass over
-// the bank's packed arrays. Each row runs the identical unrolled StepBatch
-// body a standalone Room runs, in row order, so per-building arithmetic —
-// and therefore per-building output — is unchanged; the fusion buys
-// streaming access to t/w/co2 instead of a pointer chase per building.
+// StepAll advances every bound room by dt seconds in one pass over the
+// bank's packed arrays, in row order; unbound rows are skipped. Each row
+// runs the identical unrolled StepBatch body a standalone Room runs, so
+// per-building arithmetic — and therefore per-building output — is
+// unchanged.
 //
 //bzlint:hotpath
 func (bk *RoomBank) StepAll(dt float64) {
-	bk.StepRange(0, bk.n, dt)
-}
-
-// StepRange advances the bound rooms in rows [lo, hi) by dt seconds —
-// the blocked form of StepAll. A shard phasing a cache-sized block of
-// buildings steps just that block's rows, keeping the block's state hot
-// across a whole epoch; row order (and so every row's arithmetic) is
-// identical to StepAll. Out-of-range bounds are clamped.
-//
-//bzlint:hotpath
-func (bk *RoomBank) StepRange(lo, hi int, dt float64) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > bk.n {
-		hi = bk.n
-	}
-	for _, r := range bk.rooms[lo:hi] {
-		if r != nil {
-			r.StepBatch(dt)
-		}
-	}
-}
-
-// SetClimateAll installs one precomputed outdoor boundary on every bound
-// room — the bank-level form of the fleet's shared-climate install. The
-// heavy psychrometric terms live in the Climate itself (NewClimate), so
-// this is pure coefficient folding per row.
-//
-//bzlint:mutsetter fleet.Apply
-func (bk *RoomBank) SetClimateAll(c Climate) {
 	for _, r := range bk.rooms {
 		if r != nil {
-			r.SetClimate(c)
+			r.StepBatch(dt)
 		}
 	}
 }

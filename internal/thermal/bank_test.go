@@ -28,14 +28,16 @@ func TestBankedRoomBitIdenticalToOwned(t *testing.T) {
 	}
 	// Bind the probe room to a middle row so both neighbours exist; bind
 	// the neighbours too, with different state, to catch row bleed.
-	if _, err := bank.NewRoom(0, cfg, psychro.NewState(35, 40, 0), 900); err != nil {
+	left, err := bank.NewRoom(0, cfg, psychro.NewState(35, 40, 0), 900)
+	if err != nil {
 		t.Fatal(err)
 	}
 	bkd, err := bank.NewRoom(1, cfg, initial, co2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bank.NewRoom(2, cfg, psychro.NewState(18, 30, 0), 400); err != nil {
+	right, err := bank.NewRoom(2, cfg, psychro.NewState(18, 30, 0), 400)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -83,12 +85,14 @@ func TestBankedRoomBitIdenticalToOwned(t *testing.T) {
 	}
 
 	// The neighbours must have moved independently (no shared state).
-	if bank.Room(0).Zone(0) == bank.Room(2).Zone(0) {
+	if left.Zone(0) == right.Zone(0) {
 		t.Fatal("neighbour rows converged exactly; suspicious row aliasing")
 	}
 }
 
-// TestRoomBankBinding pins the bank's row-binding contract.
+// TestRoomBankBinding pins the bank's row-binding contract: a bank has at
+// least one row, out-of-range and already-bound rows are refused, and
+// StepAll skips rows left unbound.
 func TestRoomBankBinding(t *testing.T) {
 	if _, err := NewRoomBank(0); err == nil {
 		t.Fatal("NewRoomBank(0) succeeded, want error")
@@ -97,38 +101,17 @@ func TestRoomBankBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bank.Len() != 2 {
-		t.Fatalf("Len() = %d, want 2", bank.Len())
-	}
 	cfg := DefaultConfig()
 	for _, row := range []int{-1, 2} {
 		if _, err := bank.NewRoomAtOutdoor(row, cfg); err == nil {
 			t.Fatalf("NewRoomAtOutdoor(%d) succeeded, want out-of-range error", row)
 		}
 	}
-	r, err := bank.NewRoomAtOutdoor(0, cfg)
-	if err != nil {
+	if _, err := bank.NewRoomAtOutdoor(0, cfg); err != nil {
 		t.Fatal(err)
-	}
-	if bank.Room(0) != r {
-		t.Fatal("Room(0) did not return the bound room")
-	}
-	if bank.Room(1) != nil || bank.Room(7) != nil {
-		t.Fatal("unbound/out-of-range rows must return nil")
 	}
 	if _, err := bank.NewRoomAtOutdoor(0, cfg); err == nil {
 		t.Fatal("double-binding row 0 succeeded, want error")
 	}
-
-	// SetClimateAll must reach every bound room.
-	if _, err := bank.NewRoomAtOutdoor(1, cfg); err != nil {
-		t.Fatal(err)
-	}
-	c := NewClimate(psychro.NewStateDewPoint(31, 26, 0), 415)
-	bank.SetClimateAll(c)
-	for row := 0; row < 2; row++ {
-		if got := bank.Room(row).Outdoor().T; got != 31.0 {
-			t.Fatalf("row %d outdoor T = %v after SetClimateAll, want 31", row, got)
-		}
-	}
+	bank.StepAll(1) // row 1 is unbound
 }

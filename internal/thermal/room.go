@@ -50,8 +50,8 @@ type VentInput struct {
 // divide; installing one is pure assignment and a handful of multiplies.
 // A fleet stepping thousands of buildings under one sky computes the
 // Climate once per weather update and installs it everywhere
-// (fleet.Fleet.SetOutdoor) instead of paying the transcendentals per
-// building per epoch.
+// (fleet.Apply(Event{Kind: EventClimate})) instead of paying the
+// transcendentals per building per epoch.
 type Climate struct {
 	// Out is the outdoor moist-air state.
 	Out psychro.State
@@ -107,9 +107,9 @@ type derivedState struct {
 // t[i], its humidity ratio w[i], its CO₂ co2[i]) plus the folded kernel,
 // boundary, and input rows. A Room never holds this state inline — it
 // holds row pointers that reference either a private roomRows (the scalar
-// path) or one row of a shard-level RoomBank (bank.go), so the batch
-// kernel is the same code either way and the bank path stays bit-identical
-// to standalone by construction.
+// path) or one row of a RoomBank (bank.go), so the batch kernel is the
+// same code either way and a banked room stays bit-identical to a
+// standalone one by construction.
 type roomRows struct {
 	t, w, co2 [NumZones]float64
 	kern      kernelTerms
@@ -196,7 +196,7 @@ type boundaryTerms struct {
 //
 // The prognostic state and folded terms live behind row pointers: an
 // unbanked room owns a private roomRows; a banked room views one row of a
-// RoomBank's contiguous shard arrays. Every method reads and writes
+// RoomBank's contiguous arrays. Every method reads and writes
 // through the same pointers, so the two layouts execute identical
 // arithmetic.
 type Room struct {

@@ -37,9 +37,6 @@ type Config struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// EpochTicks is the epoch length; 0 keeps the fleet default (512).
 	EpochTicks int `json:"epoch_ticks,omitempty"`
-	// Unbanked disables the fused zone bank (banked is the default and
-	// changes no results, only locality).
-	Unbanked bool `json:"unbanked,omitempty"`
 	// SampleEvery records traces on every k-th building; 0 selects 1
 	// (every building).
 	SampleEvery int `json:"sample_every,omitempty"`
@@ -58,7 +55,6 @@ func (c Config) FleetConfig() (fleet.Config, error) {
 		fc.Seed = c.Seed
 	}
 	fc.EpochTicks = c.EpochTicks
-	fc.Bank = !c.Unbanked
 	fc.MemBudgetBytes = 0
 	fc.SampleEvery = c.SampleEvery
 	if fc.SampleEvery == 0 {

@@ -417,6 +417,43 @@ func TestServerEventValidation(t *testing.T) {
 		eventRequest{Kind: "door", Building: 0, DoorS: 45}, http.StatusAccepted, nil)
 }
 
+// TestServerCreateRejectsBadConfig pins the 400 path of POST /twins: an
+// unknown field (the retired "unbanked" knob must fail loudly, not be
+// ignored), an invalid fleet config, or a truncated body is rejected and
+// registers no twin.
+func TestServerCreateRejectsBadConfig(t *testing.T) {
+	srv := NewServer()
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := ts.Client()
+
+	for _, tc := range []struct{ name, body string }{
+		{"unknown field", `{"buildings":1,"unbanked":true}`},
+		{"no buildings", `{"buildings":0}`},
+		{"more shards than buildings", `{"buildings":2,"shards":3}`},
+		{"negative epoch", `{"buildings":1,"epoch_ticks":-1}`},
+		{"truncated body", `{"buildings":1,`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := client.Post(ts.URL+"/twins", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatalf("POST /twins: %v", err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("POST /twins %s: status %d, want 400: %s", tc.body, resp.StatusCode, raw)
+			}
+		})
+	}
+	var list map[string][]string
+	httpJSON(t, client, http.MethodGet, ts.URL+"/twins", nil, http.StatusOK, &list)
+	if ids := list["twins"]; len(ids) != 0 {
+		t.Fatalf("rejected creates registered twins %v", ids)
+	}
+}
+
 // TestServerRestoreRejectsBadTraceState pins that a well-formed snapshot
 // carrying malformed trace columns is a 400, not a panic, and registers no
 // twin.

@@ -1,8 +1,8 @@
 #!/bin/sh
 # bench_json.sh — convert `go test -bench` output on stdin to a JSON
 # document on stdout. Pure POSIX awk, no dependencies; used by
-# `make bench-baseline` to record BENCH_parallel_runner.json and by
-# `make bench-tick-json` for BENCH_tick_kernel.json.
+# `make bench-tick-json`, `make bench-fleet-json` and `make bench-http-json`
+# to record BENCH_tick_kernel.json, BENCH_fleet.json and BENCH_http.json.
 #
 #   go test -bench . -benchmem -benchtime 1x ./... | scripts/bench_json.sh
 #
