@@ -16,6 +16,7 @@ test:
 
 vet:
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 
 # Formatting gate: fail listing any file gofmt would rewrite. Runs ahead
 # of lint in ci so bzlint's position-based diagnostics always refer to

@@ -128,8 +128,9 @@ func BenchmarkFig15TsndCDF(b *testing.B) {
 // BenchmarkAblationSupplyTempSweep measures the low-exergy design choice:
 // whole-system COP across radiant supply temperatures.
 func BenchmarkAblationSupplyTempSweep(b *testing.B) {
+	suite := experiments.NewSuite(0)
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.AblationSupplyTemp(context.Background(), uint64(i+1),
+		pts, err := suite.AblationSupplyTemp(context.Background(), uint64(i+1),
 			[]float64{12, 18, 21})
 		if err != nil {
 			b.Fatal(err)
@@ -148,8 +149,9 @@ func BenchmarkAblationSupplyTempSweep(b *testing.B) {
 // BenchmarkAblationNoCoupling measures what the control decomposition
 // prevents: condensation seconds with the dew guard removed.
 func BenchmarkAblationNoCoupling(b *testing.B) {
+	suite := experiments.NewSuite(0)
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationNoCoupling(context.Background(), uint64(i+1))
+		r, err := suite.AblationNoCoupling(context.Background(), uint64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,8 +163,9 @@ func BenchmarkAblationNoCoupling(b *testing.B) {
 // BenchmarkAblationDesync measures the AC schedule desynchronisation's
 // effect on collisions under fixed-mode channel pressure.
 func BenchmarkAblationDesync(b *testing.B) {
+	suite := experiments.NewSuite(0)
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationDesync(context.Background(), uint64(i+1), 20*time.Minute)
+		r, err := suite.AblationDesync(context.Background(), uint64(i+1), 20*time.Minute)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -86,23 +86,33 @@ func (s *Scheduler) ExportState() (SchedulerState, error) {
 }
 
 // RestoreState overwrites the scheduler's state. The receiver must have
-// been built from the same configuration.
+// been built from the same configuration. A state whose window position,
+// window count or period multiplier lies outside the configured bounds
+// is rejected before anything is written, since OnSample indexes the
+// window by position; on any error the scheduler is left unchanged.
 func (s *Scheduler) RestoreState(st SchedulerState) error {
 	if s.exact != nil {
 		return fmt.Errorf("adaptive: TrackExact scheduler is not snapshotable")
 	}
-	if len(st.Window) != len(s.window) {
-		return fmt.Errorf("adaptive: scheduler window is %d samples, snapshot has %d",
-			len(s.window), len(st.Window))
+	n := len(s.window)
+	switch {
+	case len(st.Window) != n:
+		return fmt.Errorf("adaptive: scheduler window is %d samples, snapshot has %d", n, len(st.Window))
+	case st.WPos < 0 || st.WPos >= n:
+		return fmt.Errorf("adaptive: scheduler window position %d outside [0, %d)", st.WPos, n)
+	case st.WCount < 0 || st.WCount > n:
+		return fmt.Errorf("adaptive: scheduler window count %d outside [0, %d]", st.WCount, n)
+	case st.W < 1 || st.W > s.cfg.WMax:
+		return fmt.Errorf("adaptive: scheduler period multiplier %d outside [1, %d]", st.W, s.cfg.WMax)
+	}
+	if err := s.hist.RestoreState(st.Hist); err != nil {
+		return err
 	}
 	copy(s.window, st.Window)
 	s.wpos = st.WPos
 	s.wcount = st.WCount
 	s.sum = st.Sum
 	s.sumSq = st.SumSq
-	if err := s.hist.RestoreState(st.Hist); err != nil {
-		return err
-	}
 	s.lambda = st.Lambda
 	s.lambdaOK = st.LambdaOK
 	s.sinceLambda = st.SinceLambda

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bubblezero/internal/fault"
-	"bubblezero/internal/trace"
 )
 
 // Degradation-path tests: a fault plan arms the watchdog, faults make
@@ -191,17 +190,5 @@ func TestFaultRunDeterministicSameSeed(t *testing.T) {
 	}
 	if da, db := a.Degradation(), b.Degradation(); da != db {
 		t.Errorf("degradation state diverged: %+v vs %+v", da, db)
-	}
-}
-
-func TestWithRecorderSubstitutes(t *testing.T) {
-	rec := trace.NewRecorder()
-	s := newSystem(t, WithRecorder(rec))
-	if s.Recorder() != rec {
-		t.Fatal("WithRecorder ignored")
-	}
-	run(t, s, 5*time.Minute)
-	if !rec.Has("temp.avg") {
-		t.Error("caller-owned recorder captured nothing")
 	}
 }

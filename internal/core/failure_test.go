@@ -18,7 +18,9 @@ import (
 func TestSurvivesSevereRadioLoss(t *testing.T) {
 	// One packet in three lost: control updates arrive late but the
 	// system must still converge, just possibly slower.
-	s := newSystem(t, WithLossFloor(0.33))
+	cfg := DefaultConfig()
+	cfg.Net.LossFloor = 0.33
+	s := newSystemCfg(t, cfg)
 	run(t, s, 70*time.Minute)
 	sn := s.Snapshot()
 	if sn.AvgTempC > 25.8 {
@@ -75,7 +77,9 @@ func TestUndersizedVentChillerDegradesGracefully(t *testing.T) {
 	// tank runs warm during pull-down, the coil outlet dew floor rises,
 	// and dehumidification slows — but nothing diverges and the radiant
 	// guard still prevents condensation.
-	s := newSystem(t, WithVentCapacityW(800))
+	cfg := DefaultConfig()
+	cfg.VentCapacityW = 800
+	s := newSystemCfg(t, cfg)
 	run(t, s, 90*time.Minute)
 	if s.CondensationSeconds() > 10 {
 		t.Errorf("condensation %.0f s with undersized chiller", s.CondensationSeconds())
@@ -149,7 +153,9 @@ func TestDiurnalWeatherHold(t *testing.T) {
 }
 
 func TestSensorNoiseOffStillWorks(t *testing.T) {
-	s := newSystem(t, WithSensorNoise(false))
+	cfg := DefaultConfig()
+	cfg.SensorNoise = false
+	s := newSystemCfg(t, cfg)
 	run(t, s, 45*time.Minute)
 	if got := s.Room().AverageT(); got > 25.5 {
 		t.Errorf("noiseless run temp = %.2f", got)

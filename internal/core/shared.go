@@ -4,8 +4,8 @@ package core
 // can be assembled from. It exists for fleet-scale instantiation: the
 // Config is validated once, stored once, and every System built from the
 // handle aliases it instead of carrying a private copy — per-building
-// differences (seed, climate boundary) ride in the per-instance options
-// that deliberately do not edit the Config (WithSeed, WithOutdoor).
+// differences (seed, climate boundary, fault plan) ride in the
+// per-instance options, none of which edits the Config.
 //
 // The handle is immutable after construction. Callers must not mutate the
 // Config reachable through it; Systems read it concurrently from every
@@ -25,26 +25,14 @@ func NewShared(cfg Config) (*Shared, error) {
 // Config returns a copy of the shared configuration.
 func (sh *Shared) Config() Config { return sh.cfg }
 
-// NewSystem assembles one System over the shared configuration. Options
-// that edit the Config (WithTracePeriod, WithLossFloor, …) force a
-// private validated copy for this instance; the per-instance overrides
-// WithSeed and WithOutdoor do not, so a homogeneous fleet with varied
-// seeds and climates keeps exactly one Config in memory.
+// NewSystem assembles one System over the shared configuration. Every
+// System built from the handle reads its single Config, so a homogeneous
+// fleet with varied seeds, climates and fault plans keeps exactly one
+// Config in memory.
 func (sh *Shared) NewSystem(opts ...Option) (*System, error) {
 	var o sysOpts
 	for _, opt := range opts {
 		opt(&o)
 	}
-	cfgp := &sh.cfg
-	if len(o.cfgEdits) > 0 {
-		cfg := sh.cfg
-		for _, edit := range o.cfgEdits {
-			edit(&cfg)
-		}
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		cfgp = &cfg
-	}
-	return assemble(cfgp, &o)
+	return assemble(&sh.cfg, &o)
 }

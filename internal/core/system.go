@@ -22,9 +22,8 @@ import (
 
 // System is the assembled BubbleZERO deployment.
 type System struct {
-	// cfg points either at a Shared handle's single validated Config
-	// (aliased by every fleet member built from it) or at this instance's
-	// private copy (when an option edited it). It is read-only either way.
+	// cfg points at the Shared handle's single validated Config, aliased
+	// by every System built from that handle. It is read-only.
 	cfg *Config
 
 	engine *sim.Engine
@@ -98,26 +97,18 @@ func openTraceSeries(rec *trace.Recorder) traceSeries {
 	return ts
 }
 
-// NewSystem assembles and wires the full deployment. Options are applied
-// in order: config-editing options (WithLossFloor, WithTracePeriod, …)
-// mutate cfg before validation, WithSeed/WithOutdoor override the seed
-// and climate boundary per instance, WithRecorder substitutes the trace
-// recorder, and WithFaultPlan schedules fault injections on the timeline
+// NewSystem validates cfg, then assembles and wires the full deployment.
+// WithSeed/WithOutdoor override the seed and climate boundary for this
+// instance, and WithFaultPlan schedules fault injections on the timeline
 // and arms the degradation watchdog. Fleets assembling many Systems from
 // one configuration should validate it once via NewShared and build
 // through Shared.NewSystem instead.
 func NewSystem(cfg Config, opts ...Option) (*System, error) {
-	var o sysOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	for _, edit := range o.cfgEdits {
-		edit(&cfg)
-	}
-	if err := cfg.Validate(); err != nil {
+	sh, err := NewShared(cfg)
+	if err != nil {
 		return nil, err
 	}
-	return assemble(&cfg, &o)
+	return sh.NewSystem(opts...)
 }
 
 // assemble wires a System over the validated configuration at cfg, which
@@ -190,10 +181,6 @@ func assemble(cfg *Config, o *sysOpts) (*System, error) {
 		return nil, err
 	}
 
-	rec := o.rec
-	if rec == nil {
-		rec = trace.NewRecorder()
-	}
 	s := &System{
 		cfg:         cfg,
 		engine:      engine,
@@ -203,7 +190,7 @@ func assemble(cfg *Config, o *sysOpts) (*System, error) {
 		ventTank:    ventTank,
 		radiantMod:  radiantMod,
 		ventMod:     ventMod,
-		rec:         rec,
+		rec:         trace.NewRecorder(),
 		plan:        o.plan,
 	}
 	if !o.plan.Empty() {

@@ -13,7 +13,12 @@ import (
 
 func newSystem(t *testing.T, opts ...Option) *System {
 	t.Helper()
-	s, err := NewSystem(DefaultConfig(), opts...)
+	return newSystemCfg(t, DefaultConfig(), opts...)
+}
+
+func newSystemCfg(t *testing.T, cfg Config, opts ...Option) *System {
+	t.Helper()
+	s, err := NewSystem(cfg, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +291,9 @@ func TestAdaptiveSavesEnergyVsFixed(t *testing.T) {
 	// pull-down transient legitimately keeps adaptive devices at short
 	// periods, so the saving materialises once the room settles.
 	used := func(mode wsn.TxMode) float64 {
-		s := newSystem(t, WithTxMode(mode))
+		cfg := DefaultConfig()
+		cfg.TxMode = mode
+		s := newSystemCfg(t, cfg)
 		run(t, s, time.Hour)
 		var before float64
 		for _, d := range s.Devices() {

@@ -25,15 +25,6 @@ type SupplyTempPoint struct {
 	ReachedTarget bool
 }
 
-// AblationSupplyTemp sweeps the radiant supply-water temperature,
-// demonstrating the paper's central design argument: warmer water means
-// less lift, less exergy, and higher COP — until the panels can no longer
-// move enough heat. The per-temperature runs fan out across the Default
-// suite's pool.
-func AblationSupplyTemp(ctx context.Context, seed uint64, temps []float64) ([]SupplyTempPoint, error) {
-	return Default.AblationSupplyTemp(ctx, seed, temps)
-}
-
 // supplyTempPoint runs one steady-state trial of the supply-temperature
 // sweep. Each call builds its own system (and RNG streams), so points are
 // independent and safe to compute concurrently.
@@ -67,14 +58,6 @@ type NoCouplingResult struct {
 	UnguardedCondensationS float64
 }
 
-// AblationNoCoupling runs the system with and without the condensation
-// guard (the two arms concurrently, via the Default suite). The decomposed
-// design only works because the modules collaborate; removing the coupling
-// wets the panels within minutes.
-func AblationNoCoupling(ctx context.Context, seed uint64) (*NoCouplingResult, error) {
-	return Default.AblationNoCoupling(ctx, seed)
-}
-
 // runNoCoupling measures condensation seconds with the dew guard on or
 // off. Each call owns its system, so the two arms run concurrently.
 func runNoCoupling(ctx context.Context, seed uint64, ignore bool) (float64, error) {
@@ -95,13 +78,6 @@ func runNoCoupling(ctx context.Context, seed uint64, ignore bool) (float64, erro
 // under a heavy (fixed-mode) traffic load.
 type DesyncResult struct {
 	WithDesync, WithoutDesync wsn.Stats
-}
-
-// AblationDesync measures collision counts with and without the AC
-// schedule desynchronisation (the two arms concurrently, via the Default
-// suite).
-func AblationDesync(ctx context.Context, seed uint64, d time.Duration) (*DesyncResult, error) {
-	return Default.AblationDesync(ctx, seed, d)
 }
 
 // runDesync measures medium statistics under fixed-mode channel pressure
@@ -127,15 +103,6 @@ func runDesync(ctx context.Context, seed uint64, d time.Duration, desync bool) (
 type HistogramResetResult struct {
 	// WithResetPct / WithoutResetPct are final fleet accuracies.
 	WithResetPct, WithoutResetPct float64
-}
-
-// AblationHistogramReset replays one device stream with and without a
-// periodic histogram reset (via the Default suite's cached scenario). The
-// paper resets U_i weekly "to eliminate approximation errors cumulated in
-// the past week"; over the simulated horizon the effect is small but
-// measurable.
-func AblationHistogramReset(ctx context.Context, seed uint64, d time.Duration, resetEvery time.Duration) (*HistogramResetResult, error) {
-	return Default.AblationHistogramReset(ctx, seed, d, resetEvery)
 }
 
 // replayHistogramReset scores the recorded streams with or without the

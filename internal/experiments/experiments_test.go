@@ -10,6 +10,10 @@ import (
 // The experiment horizons here are shortened from the paper's five hours
 // to keep the suite fast; the assertions target shape, not exact values.
 
+// testSuite is shared by every test in the package, so the figures that
+// replay the 2 h §V-C scenario simulate it once between them.
+var testSuite = NewSuite(0)
+
 func TestFig10ReproducesHeadline(t *testing.T) {
 	r, err := Fig10(context.Background(), 1)
 	if err != nil {
@@ -110,7 +114,7 @@ func TestNetScenarioStructure(t *testing.T) {
 }
 
 func TestFig12ShapeRisingAndSaturating(t *testing.T) {
-	r, err := Fig12(context.Background(), 1, 2*time.Hour, []int{5, 40})
+	r, err := testSuite.Fig12(context.Background(), 1, 2*time.Hour, []int{5, 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +138,7 @@ func TestFig12ShapeRisingAndSaturating(t *testing.T) {
 }
 
 func TestFig13AccuracyStabilisesHigh(t *testing.T) {
-	r, err := Fig13(context.Background(), 1, 2*time.Hour)
+	r, err := testSuite.Fig13(context.Background(), 1, 2*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +158,7 @@ func TestFig13AccuracyStabilisesHigh(t *testing.T) {
 }
 
 func TestFig14DetectionWithinSeconds(t *testing.T) {
-	r, err := Fig14(context.Background(), 1, 2*time.Hour)
+	r, err := testSuite.Fig14(context.Background(), 1, 2*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +174,7 @@ func TestFig14DetectionWithinSeconds(t *testing.T) {
 }
 
 func TestFig15LifetimesAndCDF(t *testing.T) {
-	r, err := Fig15(context.Background(), 1, 2*time.Hour)
+	r, err := testSuite.Fig15(context.Background(), 1, 2*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +196,7 @@ func TestFig15LifetimesAndCDF(t *testing.T) {
 }
 
 func TestAblationSupplyTempCrossover(t *testing.T) {
-	pts, err := AblationSupplyTemp(context.Background(), 1, []float64{12, 18})
+	pts, err := testSuite.AblationSupplyTemp(context.Background(), 1, []float64{12, 18})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +219,7 @@ func TestAblationSupplyTempCrossover(t *testing.T) {
 }
 
 func TestAblationNoCouplingShowsCondensation(t *testing.T) {
-	r, err := AblationNoCoupling(context.Background(), 1)
+	r, err := testSuite.AblationNoCoupling(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +233,7 @@ func TestAblationNoCouplingShowsCondensation(t *testing.T) {
 }
 
 func TestAblationDesyncReducesCollisions(t *testing.T) {
-	r, err := AblationDesync(context.Background(), 1, 15*time.Minute)
+	r, err := testSuite.AblationDesync(context.Background(), 1, 15*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +247,7 @@ func TestAblationDesyncReducesCollisions(t *testing.T) {
 }
 
 func TestAblationHistogramReset(t *testing.T) {
-	r, err := AblationHistogramReset(context.Background(), 1, 2*time.Hour, 40*time.Minute)
+	r, err := testSuite.AblationHistogramReset(context.Background(), 1, 2*time.Hour, 40*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}

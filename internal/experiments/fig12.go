@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"bubblezero/internal/adaptive"
 )
@@ -25,14 +23,6 @@ type Fig12Result struct {
 	Points []Fig12Point
 	// Scenario is the workload the replay used.
 	Scenario *NetScenario
-}
-
-// Fig12 replays the scenario's recorded sensor streams through schedulers
-// of varying histogram size and scores each against the exact-clustering
-// ground truth. It runs through the Default suite: the scenario is
-// memoized and the per-N replays execute in parallel.
-func Fig12(ctx context.Context, seed uint64, d time.Duration, ns []int) (*Fig12Result, error) {
-	return Default.Fig12(ctx, seed, d, ns)
 }
 
 // fig12Point scores one histogram size against the recorded streams. It

@@ -25,12 +25,6 @@ type Fig13Result struct {
 	FinalAccuracyPct float64
 }
 
-// Fig13 runs (or reuses, via the Default suite's scenario cache) the
-// event workload and extracts the accuracy trajectory.
-func Fig13(ctx context.Context, seed uint64, d time.Duration) (*Fig13Result, error) {
-	return Default.Fig13(ctx, seed, d)
-}
-
 // Fig13FromScenario extracts the Figure 13 trajectory from an
 // already-simulated scenario. It only reads the scenario.
 func Fig13FromScenario(sc *NetScenario) *Fig13Result {
@@ -71,12 +65,6 @@ type Fig14Result struct {
 	Detected, Total int
 	// StableTsndS is the plateau transmission period (paper: 64 s).
 	StableTsndS float64
-}
-
-// Fig14 runs (or reuses, via the Default suite's scenario cache) the
-// event workload and extracts one device's adaptation behaviour.
-func Fig14(ctx context.Context, seed uint64, d time.Duration) (*Fig14Result, error) {
-	return Default.Fig14(ctx, seed, d)
 }
 
 // Fig14FromScenario extracts the Figure 14 adaptation metrics from an
@@ -133,13 +121,6 @@ type Fig15Result struct {
 	// AdaptiveYears / FixedYears are projected battery lifetimes from the
 	// measured drain rates.
 	AdaptiveYears, FixedYears float64
-}
-
-// Fig15 runs (or reuses, via the Default suite's scenario cache) the
-// adaptive workload, plus a short fixed-mode run to measure the baseline
-// drain rate, and projects battery lifetimes.
-func Fig15(ctx context.Context, seed uint64, d time.Duration) (*Fig15Result, error) {
-	return Default.Fig15(ctx, seed, d)
 }
 
 // Fig15FromScenario extracts the Figure 15 distribution from an

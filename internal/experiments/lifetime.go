@@ -85,7 +85,8 @@ func runLifetime(ctx context.Context, seed uint64, mode wsn.TxMode) (LifetimeRun
 	out := LifetimeRun{Mode: mode}
 	cfg := core.DefaultConfig()
 	cfg.Seed = seed
-	sys, err := core.NewSystem(cfg, core.WithTxMode(mode), core.WithFaultPlan(lifetimePlan()))
+	cfg.TxMode = mode
+	sys, err := core.NewSystem(cfg, core.WithFaultPlan(lifetimePlan()))
 	if err != nil {
 		return out, err
 	}
@@ -146,11 +147,6 @@ func (s *Suite) Lifetime(ctx context.Context, seed uint64) (*LifetimeResult, err
 		return nil, err
 	}
 	return res, nil
-}
-
-// Lifetime runs the comparison on the default suite.
-func Lifetime(ctx context.Context, seed uint64) (*LifetimeResult, error) {
-	return Default.Lifetime(ctx, seed)
 }
 
 // Ratio is the adaptive/fixed median lifetime ratio (censoring makes it

@@ -168,11 +168,6 @@ func (s *Suite) Resilience(ctx context.Context, seed uint64, cases []ResilienceC
 	return res, nil
 }
 
-// Resilience runs the matrix on the default suite.
-func Resilience(ctx context.Context, seed uint64) (*ResilienceResult, error) {
-	return Default.Resilience(ctx, seed, nil)
-}
-
 // WriteTable renders the matrix as a markdown-style table.
 func (r *ResilienceResult) WriteTable(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "%-22s %9s %9s %8s %8s %6s\n",

@@ -84,7 +84,7 @@ func TestResilienceSubMatrixBoundedAndRecovers(t *testing.T) {
 	if len(cases) != len(pick) {
 		t.Fatalf("matrix lost named cases: have %d, want %d", len(cases), len(pick))
 	}
-	res, err := Default.Resilience(context.Background(), 1, cases)
+	res, err := testSuite.Resilience(context.Background(), 1, cases)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestLifetimeAdaptiveOutlastsFixed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two multi-hour trials; skipped in -short mode")
 	}
-	res, err := Lifetime(context.Background(), 1)
+	res, err := testSuite.Lifetime(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

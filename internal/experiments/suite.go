@@ -36,11 +36,6 @@ func NewSuite(workers int) *Suite {
 	}
 }
 
-// Default is the suite behind the package-level experiment functions. It
-// spans the whole process so repeated figure calls (benchmarks, the
-// cmd/experiments binary, tests) share scenario simulations.
-var Default = NewSuite(0)
-
 // Pool returns the suite's worker pool.
 func (s *Suite) Pool() *runner.Pool { return s.pool }
 
@@ -57,8 +52,10 @@ func (s *Suite) CachedScenarios() int { return s.scenarios.Len() }
 // PurgeScenarios drops every retained scenario, releasing their memory.
 func (s *Suite) PurgeScenarios() { s.scenarios.Purge() }
 
-// Fig12 is the N-selection study against the suite's cached scenario,
-// with the per-N replays fanned across the pool.
+// Fig12 replays the scenario's recorded sensor streams through schedulers
+// of varying histogram size and scores each against the exact-clustering
+// ground truth. The scenario is memoized and the per-N replays are fanned
+// across the pool.
 func (s *Suite) Fig12(ctx context.Context, seed uint64, d time.Duration, ns []int) (*Fig12Result, error) {
 	if len(ns) == 0 {
 		ns = []int{5, 10, 15, 20, 25, 30, 40, 50, 60, 70}
@@ -82,7 +79,8 @@ func (s *Suite) Fig12(ctx context.Context, seed uint64, d time.Duration, ns []in
 	return res, nil
 }
 
-// Fig13 extracts the accuracy trajectory from the cached scenario.
+// Fig13 runs (or reuses, via the scenario cache) the event workload and
+// extracts the accuracy trajectory.
 func (s *Suite) Fig13(ctx context.Context, seed uint64, d time.Duration) (*Fig13Result, error) {
 	sc, err := s.NetScenario(ctx, seed, d)
 	if err != nil {
@@ -91,8 +89,8 @@ func (s *Suite) Fig13(ctx context.Context, seed uint64, d time.Duration) (*Fig13
 	return Fig13FromScenario(sc), nil
 }
 
-// Fig14 extracts one device's adaptation behaviour from the cached
-// scenario.
+// Fig14 runs (or reuses, via the scenario cache) the event workload and
+// extracts one device's adaptation behaviour.
 func (s *Suite) Fig14(ctx context.Context, seed uint64, d time.Duration) (*Fig14Result, error) {
 	sc, err := s.NetScenario(ctx, seed, d)
 	if err != nil {
@@ -101,9 +99,10 @@ func (s *Suite) Fig14(ctx context.Context, seed uint64, d time.Duration) (*Fig14
 	return Fig14FromScenario(sc), nil
 }
 
-// Fig15 extracts the T_snd distribution from the cached scenario and runs
-// the (uncached, one-hour) fixed-mode baseline for the lifetime
-// comparison.
+// Fig15 runs (or reuses, via the scenario cache) the adaptive workload,
+// extracts its T_snd distribution, runs the (uncached, one-hour)
+// fixed-mode baseline to measure its drain rate, and projects battery
+// lifetimes.
 func (s *Suite) Fig15(ctx context.Context, seed uint64, d time.Duration) (*Fig15Result, error) {
 	sc, err := s.NetScenario(ctx, seed, d)
 	if err != nil {
@@ -112,7 +111,10 @@ func (s *Suite) Fig15(ctx context.Context, seed uint64, d time.Duration) (*Fig15
 	return Fig15FromScenario(ctx, sc, seed)
 }
 
-// AblationSupplyTemp fans the per-temperature steady-state runs across
+// AblationSupplyTemp sweeps the radiant supply-water temperature,
+// demonstrating the paper's central design argument: warmer water means
+// less lift, less exergy, and higher COP — until the panels can no longer
+// move enough heat. The per-temperature steady-state runs fan out across
 // the pool; each run derives its own system, so results are independent
 // of worker count.
 func (s *Suite) AblationSupplyTemp(ctx context.Context, seed uint64, temps []float64) ([]SupplyTempPoint, error) {
@@ -134,7 +136,10 @@ func (s *Suite) AblationSupplyTemp(ctx context.Context, seed uint64, temps []flo
 	return out, nil
 }
 
-// AblationNoCoupling runs the guarded and unguarded systems concurrently.
+// AblationNoCoupling runs the system with and without the condensation
+// guard, the two arms concurrently. The decomposed design only works
+// because the modules collaborate; removing the coupling wets the panels
+// within minutes.
 func (s *Suite) AblationNoCoupling(ctx context.Context, seed uint64) (*NoCouplingResult, error) {
 	var res NoCouplingResult
 	err := s.pool.Run(ctx,
@@ -154,8 +159,9 @@ func (s *Suite) AblationNoCoupling(ctx context.Context, seed uint64) (*NoCouplin
 	return &res, nil
 }
 
-// AblationDesync runs the desynchronised and random-offset systems
-// concurrently.
+// AblationDesync measures collision counts with and without the AC
+// schedule desynchronisation, running the desynchronised and
+// random-offset systems concurrently.
 func (s *Suite) AblationDesync(ctx context.Context, seed uint64, d time.Duration) (*DesyncResult, error) {
 	var res DesyncResult
 	err := s.pool.Run(ctx,
@@ -175,8 +181,10 @@ func (s *Suite) AblationDesync(ctx context.Context, seed uint64, d time.Duration
 	return &res, nil
 }
 
-// AblationHistogramReset replays the cached scenario with and without
-// periodic histogram resets, the two replays in parallel.
+// AblationHistogramReset replays the cached scenario with and without a
+// periodic histogram reset, the two replays in parallel. The paper resets
+// U_i weekly "to eliminate approximation errors cumulated in the past
+// week"; over the simulated horizon the effect is small but measurable.
 func (s *Suite) AblationHistogramReset(ctx context.Context, seed uint64, d time.Duration, resetEvery time.Duration) (*HistogramResetResult, error) {
 	sc, err := s.NetScenario(ctx, seed, d)
 	if err != nil {

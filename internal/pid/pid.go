@@ -87,9 +87,6 @@ func (c *Controller) Output() float64 { return c.lastOut }
 // action remain live so control resumes cleanly when the input returns.
 func (c *Controller) SetIntegratorFrozen(on bool) { c.frozen = on }
 
-// IntegratorFrozen reports whether the integrator is currently held.
-func (c *Controller) IntegratorFrozen() bool { return c.frozen }
-
 // Reset clears the integrator and derivative history, e.g. after a long
 // actuator outage.
 func (c *Controller) Reset() {

@@ -35,10 +35,6 @@ const (
 	cpVapour    = 1.86   // kJ/(kg·K)
 	latentHeat0 = 2501.0 // kJ/kg at 0 °C
 
-	// LatentHeatJPerKg is the latent heat of vaporisation of water used for
-	// condensation power accounting.
-	LatentHeatJPerKg = 2.501e6 // J/kg
-
 	// RDryAir is the specific gas constant of dry air.
 	RDryAir = 287.058 // J/(kg·K)
 )

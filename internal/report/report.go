@@ -10,18 +10,13 @@ import (
 	"bubblezero/internal/runner"
 )
 
-// Generate runs the full evaluation suite and writes a markdown report:
-// every figure's headline numbers next to the paper's, with ASCII charts
-// of the key series. hours controls the networking-scenario length (the
-// paper uses five). Sections are computed concurrently through the
-// Default experiment suite — Figures 12–15 share a single memoized
-// scenario simulation — and written in the fixed section order.
-func Generate(ctx context.Context, seed uint64, hours float64, w io.Writer) error {
-	return GenerateWith(ctx, experiments.Default, seed, hours, w)
-}
-
-// GenerateWith is Generate against an explicit suite, so callers control
-// the worker count and scenario-cache lifetime.
+// GenerateWith runs the full evaluation on suite and writes a markdown
+// report: every figure's headline numbers next to the paper's, with ASCII
+// charts of the key series. hours controls the networking-scenario length
+// (the paper uses five). Sections are computed concurrently on the
+// suite's pool — Figures 12–15 share a single memoized scenario
+// simulation — and written in the fixed section order. The caller's suite
+// sets the worker count and the scenario-cache lifetime.
 func GenerateWith(ctx context.Context, suite *experiments.Suite, seed uint64, hours float64, w io.Writer) error {
 	d := time.Duration(hours * float64(time.Hour))
 

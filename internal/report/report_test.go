@@ -140,7 +140,7 @@ func TestGenerateCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var sb strings.Builder
-	if err := Generate(ctx, 1, 1, &sb); err == nil {
+	if err := GenerateWith(ctx, experiments.NewSuite(1), 1, 1, &sb); err == nil {
 		t.Error("cancelled generation should fail")
 	}
 }

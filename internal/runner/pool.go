@@ -37,9 +37,6 @@ func NewPool(workers int) *Pool {
 	return &Pool{workers: workers}
 }
 
-// Workers returns the configured worker count.
-func (p *Pool) Workers() int { return p.workers }
-
 // Run executes the jobs concurrently on at most Workers goroutines and
 // waits for all of them. The first error cancels the context handed to the
 // remaining jobs; jobs not yet started are skipped once an error is

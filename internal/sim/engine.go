@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 )
@@ -68,10 +67,6 @@ func (c ComponentFunc) Name() string { return c.ID }
 // Step implements Component.
 func (c ComponentFunc) Step(env *Env) { c.Fn(env) }
 
-// ErrStopped is returned by Run when a stop condition halted the engine
-// before the requested duration elapsed.
-var ErrStopped = errors.New("sim: stopped by condition")
-
 // Engine advances a set of components through simulated time. Components
 // are stepped in the order they were added; the order is the data-flow
 // order of the physical system (environment → plant → sensors → network →
@@ -89,7 +84,6 @@ type Engine struct {
 	clock    *Clock
 	rng      *RNG
 	timeline *Timeline
-	stopFn   func(env *Env) bool
 	dtS      float64
 
 	entries []*entry // every registered component, registration order
@@ -118,17 +112,6 @@ func (e *Engine) RNG() *RNG { return e.rng }
 // Timeline returns the engine's event timeline for scheduling one-shot
 // events (door openings, setpoint changes, ...).
 func (e *Engine) Timeline() *Timeline { return e.timeline }
-
-// SetStopCondition installs a predicate checked after every tick; when it
-// returns true Run stops early with ErrStopped. The predicate sees
-// every-tick components fully stepped; cadenced components are caught up
-// to their last due tick only (their internal state flushes when the run
-// returns). A stop condition that needs exact per-tick state of a
-// cadenced component should register that component with Register
-// (every-tick, the default) instead.
-func (e *Engine) SetStopCondition(fn func(env *Env) bool) {
-	e.stopFn = fn
-}
 
 // ctxCheckSimTime bounds how much simulated time may elapse between
 // context checks, so cancellation latency is bounded in simulated time
@@ -168,10 +151,10 @@ func (e *Engine) RunFor(ctx context.Context, d time.Duration) error {
 	return e.RunTicks(ctx, ticks)
 }
 
-// RunTicks advances the simulation by n ticks. On every return path —
-// completion, stop condition, cancellation — cadenced components are
-// caught up through the last executed tick, so post-run observers read
-// exactly the state per-tick stepping would have produced.
+// RunTicks advances the simulation by n ticks. On both return paths —
+// completion and cancellation — cadenced components are caught up
+// through the last executed tick, so post-run observers read exactly the
+// state per-tick stepping would have produced.
 //
 //bzlint:hotpath
 func (e *Engine) RunTicks(ctx context.Context, n uint64) error {
@@ -197,10 +180,6 @@ func (e *Engine) RunTicks(ctx context.Context, n uint64) error {
 		e.timeline.fire(env)
 		e.stepDue(env)
 		e.clock.Advance()
-		if e.stopFn != nil && e.stopFn(env) {
-			e.catchUp(env)
-			return ErrStopped
-		}
 	}
 	e.catchUp(env)
 	return nil

@@ -1,29 +1,13 @@
 package sim
 
-import "time"
-
 // regOpts collects the effect of the options passed to one Register call.
 type regOpts struct {
-	cadence    time.Duration
-	hasCadence bool
-	onDemand   bool
-	faultable  bool
+	onDemand  bool
+	faultable bool
 }
 
 // RegOption configures a single Engine.Register call.
 type RegOption func(*regOpts)
-
-// WithCadence places the component on the due-wheel with a fixed cadence:
-// it is stepped on the registration tick and every period thereafter. The
-// skipped ticks are genuinely skipped — the component receives no
-// catch-up calls for them — so a fixed cadence suits coarse periodic work
-// (logging, checkpointing, supervisory decisions) that does not integrate
-// over dt. period is rounded down to whole ticks with a minimum of one; a
-// period of one step is equivalent to registering with no options.
-// Mutually exclusive with WithOnDemand.
-func WithCadence(period time.Duration) RegOption {
-	return func(o *regOpts) { o.cadence, o.hasCadence = period, true }
-}
 
 // WithOnDemand registers the component to be stepped, at its position in
 // the registration order, only on ticks during which Registration.Wake
@@ -31,7 +15,6 @@ func WithCadence(period time.Duration) RegOption {
 // steps the component on tick T itself; a wake after its position (or
 // from outside the run loop) steps it on the next processed tick. The
 // flag persists until the component is stepped, so a wake is never lost.
-// Mutually exclusive with WithCadence.
 func WithOnDemand() RegOption {
 	return func(o *regOpts) { o.onDemand = true }
 }
@@ -111,18 +94,13 @@ func (r *Registration) checkFaultable(op string) {
 // returns its scheduling handle. With no options the component is stepped
 // every tick, unless it implements Cadenced, in which case it is placed
 // on the due-wheel and stepped only on the ticks its own accumulators say
-// are due. WithCadence forces a fixed due-wheel cadence regardless of the
-// component's own interfaces; WithOnDemand parks the component until the
-// handle's Wake is called; WithFaultable additionally arms the handle's
-// Suspend/Resume. Register components between runs, not from inside a
-// Step call.
+// are due. WithOnDemand parks the component until the handle's Wake is
+// called; WithFaultable additionally arms the handle's Suspend/Resume.
+// Register components between runs, not from inside a Step call.
 func (e *Engine) Register(c Component, opts ...RegOption) *Registration {
 	var o regOpts
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.hasCadence && o.onDemand {
-		panic("sim: Register: WithCadence and WithOnDemand are mutually exclusive")
 	}
 	ent := &entry{c: c, idx: len(e.entries), regTick: e.clock.Tick()}
 	reg := &Registration{e: e, ent: ent, faultable: o.faultable}
@@ -133,15 +111,8 @@ func (e *Engine) Register(c Component, opts ...RegOption) *Registration {
 		return reg
 	}
 	ent.doneThrough = e.clock.Tick()
-	if o.hasCadence {
-		ticks := uint64(o.cadence / e.clock.Step())
-		if ticks < 1 {
-			ticks = 1
-		}
-		ent.c = &fixedCadence{c: c, periodTicks: ticks, untilDue: 1}
-	}
 	e.entries = append(e.entries, ent)
-	if cad, ok := ent.c.(Cadenced); ok {
+	if cad, ok := c.(Cadenced); ok {
 		ent.cad = cad
 		ent.nextDue = ent.doneThrough + cad.NextDue(e.dtS) - 1
 		e.wheel.push(ent, e.clock.Tick())

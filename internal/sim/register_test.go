@@ -38,22 +38,6 @@ func TestRegisterDefaults(t *testing.T) {
 	}
 }
 
-func TestWithCadenceSchedule(t *testing.T) {
-	// WithCadence forces a plain component onto the wheel: stepped on the
-	// registration tick and every period thereafter.
-	e := NewEngine(MustClock(testStart, time.Second), 1)
-	var ticks []uint64
-	c := ComponentFunc{ID: "log", Fn: func(env *Env) { ticks = append(ticks, env.Tick()) }}
-	e.Register(c, WithCadence(4*time.Second))
-	if err := e.RunTicks(context.Background(), 13); err != nil {
-		t.Fatal(err)
-	}
-	want := []uint64{0, 4, 8, 12}
-	if fmt.Sprint(ticks) != fmt.Sprint(want) {
-		t.Errorf("Register(WithCadence(4s)) stepped on %v, want %v", ticks, want)
-	}
-}
-
 func TestWithOnDemandSameTickWake(t *testing.T) {
 	// A wake from an earlier-ordered component lands on the same tick.
 	e := NewEngine(MustClock(testStart, time.Second), 1)
@@ -87,9 +71,6 @@ func TestRegisterOptionPanics(t *testing.T) {
 	}
 	e := NewEngine(MustClock(testStart, time.Second), 1)
 	noop := ComponentFunc{ID: "noop", Fn: func(*Env) {}}
-	mustPanic("WithCadence+WithOnDemand", func() {
-		e.Register(noop, WithCadence(time.Second), WithOnDemand())
-	})
 	mustPanic("Wake on non-on-demand", func() {
 		e.Register(noop).Wake()
 	})
@@ -223,17 +204,5 @@ func TestWakeLatchedAcrossSuspension(t *testing.T) {
 	}
 	if fmt.Sprint(stepped) != fmt.Sprint([]uint64{3}) {
 		t.Errorf("stepped on %v, want [3] (wake latched across suspension)", stepped)
-	}
-}
-
-func TestWithCadenceSubTickClamp(t *testing.T) {
-	e := NewEngine(MustClock(testStart, time.Second), 1)
-	n := 0
-	e.Register(ComponentFunc{ID: "dense", Fn: func(*Env) { n++ }}, WithCadence(time.Nanosecond))
-	if err := e.RunTicks(context.Background(), 6); err != nil {
-		t.Fatal(err)
-	}
-	if n != 6 {
-		t.Errorf("sub-tick cadence stepped %d times, want every tick (6)", n)
 	}
 }

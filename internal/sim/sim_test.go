@@ -136,20 +136,6 @@ func TestEngineContextCancellation(t *testing.T) {
 	}
 }
 
-func TestEngineStopCondition(t *testing.T) {
-	e := NewEngine(MustClock(testStart, time.Second), 1)
-	n := 0
-	e.Register(ComponentFunc{ID: "count", Fn: func(*Env) { n++ }})
-	e.SetStopCondition(func(env *Env) bool { return n >= 5 })
-	err := e.RunTicks(context.Background(), 100)
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("err = %v, want ErrStopped", err)
-	}
-	if n != 5 {
-		t.Errorf("stopped after %d ticks, want 5", n)
-	}
-}
-
 func TestEnvExposesClock(t *testing.T) {
 	e := NewEngine(MustClock(testStart, 2*time.Second), 1)
 	var dts []float64

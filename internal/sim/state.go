@@ -44,9 +44,6 @@ type EntrySched struct {
 	// entries (ticks [0, DoneThrough) delivered; next due tick absolute).
 	DoneThrough uint64
 	NextDue     uint64
-	// UntilDue is the WithCadence wrapper's ticks-until-next-due counter;
-	// zero for entries not registered with a fixed cadence.
-	UntilDue uint64
 	// Steps and RegTick feed StepStats.
 	Steps   uint64
 	RegTick uint64
@@ -81,7 +78,7 @@ func (e *Engine) ExportState() (EngineState, error) {
 		Entries: make([]EntrySched, len(e.entries)),
 	}
 	for i, ent := range e.entries {
-		es := EntrySched{
+		st.Entries[i] = EntrySched{
 			Name:        ent.c.Name(),
 			DoneThrough: ent.doneThrough,
 			NextDue:     ent.nextDue,
@@ -90,10 +87,6 @@ func (e *Engine) ExportState() (EngineState, error) {
 			Woken:       ent.woken,
 			Suspended:   ent.suspended,
 		}
-		if fc, ok := ent.c.(*fixedCadence); ok {
-			es.UntilDue = fc.untilDue
-		}
-		st.Entries[i] = es
 	}
 	return st, nil
 }
@@ -133,9 +126,6 @@ func (e *Engine) RestoreState(st EngineState) error {
 		ent.regTick = es.RegTick
 		ent.woken = es.Woken
 		ent.suspended = es.Suspended
-		if fc, ok := ent.c.(*fixedCadence); ok {
-			fc.untilDue = es.UntilDue
-		}
 		if ent.cad != nil {
 			e.wheel.push(ent, st.Tick)
 		}

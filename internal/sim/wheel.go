@@ -193,35 +193,6 @@ func (w *farHeap) pop() *entry {
 	return top
 }
 
-// fixedCadence adapts a plain Component registered with WithCadence to
-// the wheel: it is due on the registration tick and every periodTicks
-// thereafter, and skipped ticks are genuinely skipped (the wrapped
-// component sees no catch-up calls for them).
-type fixedCadence struct {
-	c           Component
-	periodTicks uint64
-	untilDue    uint64 // ticks until the next due step
-}
-
-var _ Cadenced = (*fixedCadence)(nil)
-
-func (f *fixedCadence) Name() string { return f.c.Name() }
-
-func (f *fixedCadence) Step(env *Env) { f.StepN(env, 1) }
-
-func (f *fixedCadence) StepN(env *Env, n uint64) {
-	if n > f.untilDue {
-		n = f.untilDue // defensive: the engine never overshoots the due tick
-	}
-	f.untilDue -= n
-	if f.untilDue == 0 {
-		f.c.Step(env)
-		f.untilDue = f.periodTicks
-	}
-}
-
-func (f *fixedCadence) NextDue(float64) uint64 { return f.untilDue }
-
 // ComponentStats describes one component's scheduling over the engine's
 // lifetime.
 type ComponentStats struct {

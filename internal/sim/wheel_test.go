@@ -205,30 +205,6 @@ func TestSameTickOrderingWithWheel(t *testing.T) {
 	}
 }
 
-// TestErrStoppedMidWheelCatchesUp verifies the stop-condition return path
-// flushes cadenced bookkeeping: a run stopped between due ticks leaves the
-// component's per-tick state exactly where per-tick polling would have,
-// with no observable work invented for the flushed ticks.
-func TestErrStoppedMidWheelCatchesUp(t *testing.T) {
-	e := NewEngine(MustClock(testStart, time.Second), 1)
-	dev := &accumCadenced{name: "dev", periodS: 5}
-	e.Register(dev)
-	e.SetStopCondition(func(env *Env) bool { return env.Tick() >= 3 })
-	err := e.RunTicks(context.Background(), 100)
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("err = %v, want ErrStopped", err)
-	}
-	if dev.ticks != 3 {
-		t.Errorf("device bookkeeping covers %d ticks after stop, want 3", dev.ticks)
-	}
-	if len(dev.fires) != 0 {
-		t.Errorf("device fired at %v during catch-up; catch-up must not fire", dev.fires)
-	}
-	if dev.since != 3 {
-		t.Errorf("accumulator = %v after 3 flushed ticks, want 3", dev.since)
-	}
-}
-
 // TestCancellationCatchesUp verifies the context-cancellation return path
 // also flushes cadenced bookkeeping through the last executed tick.
 func TestCancellationCatchesUp(t *testing.T) {
@@ -271,33 +247,6 @@ func TestCompletionCatchesUp(t *testing.T) {
 	}
 	if len(dev.fires) != 2 || dev.fires[1] != 13 {
 		t.Errorf("fires = %v, want second fire on tick 13", dev.fires)
-	}
-}
-
-// TestFixedCadenceSchedule pins WithCadence semantics: due on the
-// registration tick and every period thereafter, with sub-step periods
-// clamped to every tick.
-func TestFixedCadenceSchedule(t *testing.T) {
-	e := NewEngine(MustClock(testStart, time.Second), 1)
-	var ticks []uint64
-	e.Register(ComponentFunc{ID: "log", Fn: func(env *Env) {
-		ticks = append(ticks, env.Tick())
-	}}, WithCadence(3*time.Second))
-	n := 0
-	e.Register(ComponentFunc{ID: "dense", Fn: func(*Env) { n++ }}, WithCadence(time.Millisecond))
-	if err := e.RunTicks(context.Background(), 10); err != nil {
-		t.Fatal(err)
-	}
-	want := []uint64{0, 3, 6, 9}
-	if fmt.Sprint(ticks) != fmt.Sprint(want) {
-		t.Errorf("WithCadence(3s) stepped on %v, want %v", ticks, want)
-	}
-	if n != 10 {
-		t.Errorf("WithCadence(1ms) stepped %d times, want every tick (10)", n)
-	}
-	stats := e.StepStats()
-	if stats[0].Kind != "cadenced" || stats[0].Steps != 4 || stats[0].Skipped != 6 {
-		t.Errorf("WithCadence stats = %+v, want cadenced 4/6", stats[0])
 	}
 }
 

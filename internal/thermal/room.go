@@ -102,21 +102,6 @@ type derivedState struct {
 	avgDewValid bool
 }
 
-// roomRows is the owned backing store of an unbanked Room: the
-// structure-of-arrays prognostic state (zone i's dry-bulb temperature is
-// t[i], its humidity ratio w[i], its CO₂ co2[i]) plus the folded kernel,
-// boundary, and input rows. A Room never holds this state inline — it
-// holds row pointers that reference either a private roomRows (the scalar
-// path) or one row of a RoomBank (bank.go), so the batch kernel is the
-// same code either way and a banked room stays bit-identical to a
-// standalone one by construction.
-type roomRows struct {
-	t, w, co2 [NumZones]float64
-	kern      kernelTerms
-	bnd       boundaryTerms
-	in        zoneInputs
-}
-
 // zoneInputs holds the per-step actuator and load inputs, also laid out
 // as structure-of-arrays, with the setter-side precomputation the kernel
 // consumes directly: SetVent resolves the supply air density (memoized on
@@ -194,18 +179,16 @@ type boundaryTerms struct {
 // actuator inputs (ventilation, panel extraction, condensation) are set by
 // upstream components each tick and consumed during StepBatch.
 //
-// The prognostic state and folded terms live behind row pointers: an
-// unbanked room owns a private roomRows; a banked room views one row of a
-// RoomBank's contiguous arrays. Every method reads and writes
-// through the same pointers, so the two layouts execute identical
-// arithmetic.
+// The room owns its state inline, as structure-of-arrays: zone i's
+// dry-bulb temperature is t[i], its humidity ratio w[i], its CO₂ co2[i],
+// next to the folded kernel, boundary, and input terms.
 type Room struct {
 	cfg Config
 
-	t, w, co2 *[NumZones]float64
-	kern      *kernelTerms
-	bnd       *boundaryTerms
-	in        *zoneInputs
+	t, w, co2 [NumZones]float64
+	kern      kernelTerms
+	bnd       boundaryTerms
+	in        zoneInputs
 
 	der  derivedState
 	clim Climate
@@ -220,28 +203,12 @@ type Room struct {
 var _ sim.Component = (*Room)(nil)
 
 // NewRoom builds a room whose zones all start in the given initial state
-// with the given CO₂ concentration. The room owns its backing rows.
+// with the given CO₂ concentration.
 func NewRoom(cfg Config, initial psychro.State, initialCO2 float64) (*Room, error) {
-	rows := &roomRows{}
-	r := &Room{
-		t: &rows.t, w: &rows.w, co2: &rows.co2,
-		kern: &rows.kern, bnd: &rows.bnd, in: &rows.in,
-	}
-	if err := r.init(cfg, initial, initialCO2); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return r, nil
-}
-
-// init validates the config and seeds the (already bound) rows — the
-// shared tail of NewRoom and RoomBank.NewRoom.
-func (r *Room) init(cfg Config, initial psychro.State, initialCO2 float64) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	r.cfg = cfg
-	*r.kern = newKernelTerms(cfg)
-	*r.in = zoneInputs{}
+	r := &Room{cfg: cfg, kern: newKernelTerms(cfg)}
 	for i := 0; i < NumZones; i++ {
 		r.t[i] = initial.T
 		r.w[i] = initial.W
@@ -249,7 +216,7 @@ func (r *Room) init(cfg Config, initial psychro.State, initialCO2 float64) error
 	}
 	r.SetClimate(NewClimate(cfg.Outdoor, cfg.OutdoorCO2PPM))
 	r.recomputeDerived()
-	return nil
+	return r, nil
 }
 
 // recomputeDerived refreshes the eager averages and invalidates the lazy
@@ -371,7 +338,7 @@ func (r *Room) SetClimate(c Climate) {
 	r.cfg.Outdoor = c.Out
 	r.cfg.OutdoorCO2PPM = c.CO2PPM
 
-	b := r.bnd
+	b := &r.bnd
 	b.outT, b.outW, b.outCO2 = c.Out.T, c.Out.W, c.CO2PPM
 	infVol := r.cfg.InfiltrationACH * r.cfg.ZoneVolume / 3600 // m³/s
 	b.envInfQ = r.cfg.EnvelopeUA/NumZones + infVol*c.RhoOut*cpAir
@@ -498,9 +465,7 @@ func (r *Room) Step(env *sim.Env) { r.StepBatch(env.Dt()) }
 // zoneFlows computes one zone's balance totals (heat W, moisture kg/s,
 // CO₂ ppm·m³/s) from register-resident state. tn1/wn1/cn1 and tn2/wn2/cn2
 // are the two grid neighbours (the 2×2 adjacency is compile-time fixed);
-// qx/wx/cx are the zone's fused outdoor-exchange coefficients. A free
-// function taking the row pointers explicitly, so StepBatch loads them
-// once instead of re-chasing the Room's row bindings per call.
+// qx/wx/cx are the zone's fused outdoor-exchange coefficients.
 func zoneFlows(k *kernelTerms, b *boundaryTerms, in *zoneInputs, i int, ti, wi, ci, tn1, tn2, wn1, wn2, cn1, cn2, qx, wx, cx float64) (q, wf, cf float64) {
 	mdot := k.izf * k.air.Density(ti) // inter-zone dry-air mass flow
 	q = qx*(b.outT-ti) +
@@ -536,8 +501,8 @@ func zoneFlows(k *kernelTerms, b *boundaryTerms, in *zoneInputs, i int, ti, wi, 
 //
 //bzlint:hotpath
 func (r *Room) StepBatch(dt float64) {
-	k := r.kern
-	b := r.bnd
+	k := &r.kern
+	b := &r.bnd
 
 	// Fused outdoor-exchange coefficients: envelope + infiltration on
 	// every zone, plus the door leak on subspace-1 and the window leak on
@@ -566,7 +531,7 @@ func (r *Room) StepBatch(dt float64) {
 
 	// Zone neighbourhoods (see adjacency): 0↔{1,2}, 1↔{0,3}, 2↔{0,3},
 	// 3↔{1,2}.
-	in := r.in
+	in := &r.in
 	q0, wf0, cf0 := zoneFlows(k, b, in, 0, t0, w0, c0, t1, t2, w1, w2, c1, c2, qx0, wx0, cx0)
 	q1, wf1, cf1 := zoneFlows(k, b, in, 1, t1, w1, c1, t0, t3, w0, w3, c0, c3, b.envInfQ, b.infW, b.infC)
 	q2, wf2, cf2 := zoneFlows(k, b, in, 2, t2, w2, c2, t0, t3, w0, w3, c0, c3, qx2, wx2, cx2)
@@ -614,9 +579,9 @@ func (r *Room) StepBatch(dt float64) {
 		c3 = 0
 	}
 
-	*r.t = [NumZones]float64{t0, t1, t2, t3}
-	*r.w = [NumZones]float64{w0, w1, w2, w3}
-	*r.co2 = [NumZones]float64{c0, c1, c2, c3}
+	r.t = [NumZones]float64{t0, t1, t2, t3}
+	r.w = [NumZones]float64{w0, w1, w2, w3}
+	r.co2 = [NumZones]float64{c0, c1, c2, c3}
 
 	// Derived averages, fused into the pass (left-associated in zone order,
 	// the same bits recomputeDerived would produce); the expensive lazy

@@ -41,7 +41,7 @@ type RoomState struct {
 // bits a warm one would.
 func (r *Room) ExportState() RoomState {
 	return RoomState{
-		T: *r.t, W: *r.w, CO2: *r.co2,
+		T: r.t, W: r.w, CO2: r.co2,
 		Climate:      r.clim,
 		VentVol:      r.in.ventVol,
 		VentMdot:     r.in.ventMdot,
@@ -69,7 +69,7 @@ func (r *Room) ExportState() RoomState {
 // next SetVent recomputes unconditionally.
 func (r *Room) RestoreState(st RoomState) {
 	r.SetClimate(st.Climate)
-	*r.t, *r.w, *r.co2 = st.T, st.W, st.CO2
+	r.t, r.w, r.co2 = st.T, st.W, st.CO2
 	r.in.ventVol = st.VentVol
 	r.in.ventMdot = st.VentMdot
 	r.in.ventMdotCp = st.VentMdotCp

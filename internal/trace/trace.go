@@ -369,13 +369,6 @@ func (r *Recorder) Series(name string) *Series {
 	return s
 }
 
-// Open returns the named series, creating it on first use.
-//
-// Deprecated: Open was an alias of Series from before the handle/read
-// split; new code opens setup-time handles with Series and reads through
-// Query. The bzlint deprecated analyzer bans in-repo references.
-func (r *Recorder) Open(name string) *Series { return r.Series(name) }
-
 // Has reports whether the named series exists.
 func (r *Recorder) Has(name string) bool {
 	_, ok := r.series[name]

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"bubblezero/internal/adaptive"
 	"bubblezero/internal/core"
 	"bubblezero/internal/fault"
 	"bubblezero/internal/fleet"
@@ -492,6 +493,63 @@ func TestServerRestoreRejectsBadTraceState(t *testing.T) {
 	}
 	if ids := srv.reg.ids(); len(ids) != 0 {
 		t.Fatalf("rejected restore registered twins %v", ids)
+	}
+}
+
+// TestServerRestoreRejectsOutOfRangeScheduler pins that a snapshot whose
+// adaptive scheduler points past its sample window is a 400 on restore,
+// not a panic on the next run that would take down every twin in the
+// process, and that the server keeps listing only the twin it had.
+func TestServerRestoreRejectsOutOfRangeScheduler(t *testing.T) {
+	srv := NewServer()
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := ts.Client()
+
+	var created createResponse
+	httpJSON(t, client, http.MethodPost, ts.URL+"/twins", Config{Buildings: 1, Shards: 1}, http.StatusCreated, &created)
+	httpJSON(t, client, http.MethodPost, ts.URL+"/twins/"+created.ID+"/run", map[string]uint64{"ticks": 64}, http.StatusAccepted, nil)
+	waitIdleHTTP(t, client, ts.URL, created.ID, 64)
+
+	resp, err := client.Get(ts.URL + "/twins/" + created.ID + "/snapshot")
+	if err != nil {
+		t.Fatalf("GET snapshot: %v", err)
+	}
+	snap, err := ReadSnapshot(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("ReadSnapshot: %v", err)
+	}
+	var sched *adaptive.SchedulerState
+	for _, d := range snap.State.Buildings[0].Devices {
+		if d.State.Sched != nil {
+			sched = d.State.Sched
+			break
+		}
+	}
+	if sched == nil {
+		t.Fatal("snapshot has no adaptive scheduler state to corrupt")
+	}
+	sched.WPos = len(sched.Window)
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, snap); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+
+	resp, err = client.Post(ts.URL+"/twins/restore", "application/octet-stream", &buf)
+	if err != nil {
+		t.Fatalf("POST restore: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "window position") {
+		t.Fatalf("POST restore: status %d: %s; want 400 naming the window position", resp.StatusCode, body)
+	}
+	var list map[string][]string
+	httpJSON(t, client, http.MethodGet, ts.URL+"/twins", nil, http.StatusOK, &list)
+	if ids := list["twins"]; len(ids) != 1 || ids[0] != created.ID {
+		t.Fatalf("GET /twins = %v, want only the original twin %q", ids, created.ID)
 	}
 }
 

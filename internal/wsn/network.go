@@ -63,9 +63,6 @@ type Node struct {
 // ID returns the node identifier.
 func (n *Node) ID() NodeID { return n.id }
 
-// Class returns the node power class.
-func (n *Node) Class() PowerClass { return n.class }
-
 // Battery returns the node battery (nil for AC nodes).
 func (n *Node) Battery() *energy.Battery { return n.battery }
 
