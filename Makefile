@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt-check lint lint-fix-hints race race-fault bench-smoke bench-tick bench-tick-json bench-fleet bench-fleet-json bench-http bench-http-json bench-e2e-smoke benchguard repin ci
+.PHONY: all build test vet fmt-check lint lint-fix-hints race race-fault race-twin bench-smoke bench-tick bench-tick-json bench-fleet bench-fleet-json bench-http bench-http-json bench-e2e-smoke benchguard repin ci
 
 all: build
 
@@ -52,6 +52,12 @@ lint-fix-hints:
 race-fault:
 	$(GO) test -race -short ./internal/fault
 	$(GO) test -race -short -run 'Fault|Degrad|MoteOffline|Jam|Battery|Chiller|Pump|Survives|FailsSafe|Stops' ./internal/core
+
+# The twin's lock discipline under the race detector, ten times over:
+# readers share the fleet lock while the runner and snapshots hold it
+# alone, and status reads take only the run-queue lock.
+race-twin:
+	$(GO) test -race -count=10 -run 'StatusDoesNotWait|ReadersWhileRunning' ./internal/twin
 
 # Every benchmark once — correctness of the benchmark harness, not timing.
 bench-smoke:
@@ -130,5 +136,5 @@ repin:
 bench-e2e-smoke:
 	$(GO) -C bench test ./...
 
-ci: benchguard fmt-check vet lint race-fault race bench-smoke bench-tick bench-fleet bench-http bench-e2e-smoke
+ci: benchguard fmt-check vet lint race-fault race bench-smoke bench-tick bench-fleet bench-http bench-e2e-smoke race-twin
 	@echo ci: OK

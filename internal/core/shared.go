@@ -22,9 +22,6 @@ func NewShared(cfg Config) (*Shared, error) {
 	return &Shared{cfg: cfg}, nil
 }
 
-// Config returns a copy of the shared configuration.
-func (sh *Shared) Config() Config { return sh.cfg }
-
 // NewSystem assembles one System over the shared configuration. Every
 // System built from the handle reads its single Config, so a homogeneous
 // fleet with varied seeds, climates and fault plans keeps exactly one

@@ -136,6 +136,61 @@ func TestFleetSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFleetChunkedRunMatchesUninterrupted pins that splitting a run into
+// many short RunTicks calls changes nothing, with live fault events firing
+// inside the calls: the same 900 ticks, run in calls of 1, 7 and 128 ticks
+// with the event batch applied at tick 300, must match the reference run
+// bit for bit. A live twin steps its fleet in such short calls.
+func TestFleetChunkedRunMatchesUninterrupted(t *testing.T) {
+	const (
+		preTicks = 300 // before the mutation batch
+		endTicks = 900
+	)
+	cfg := snapshotCfg(t)
+	// run advances a fresh fleet to endTicks in calls of at most chunk
+	// ticks, stopping at preTicks to apply the batch.
+	run := func(chunk uint64) *Fleet {
+		fl, err := New(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("chunk %d: New: %v", chunk, err)
+		}
+		for fl.Ticks() < preTicks {
+			if err := fl.RunTicks(context.Background(), min(chunk, preTicks-fl.Ticks())); err != nil {
+				t.Fatalf("chunk %d: pre-run: %v", chunk, err)
+			}
+		}
+		applyAll(t, fl, liveEvents())
+		for fl.Ticks() < endTicks {
+			if err := fl.RunTicks(context.Background(), min(chunk, endTicks-fl.Ticks())); err != nil {
+				t.Fatalf("chunk %d: run to end: %v", chunk, err)
+			}
+		}
+		return fl
+	}
+	ref := run(endTicks) // RunTicks(300), the batch, RunTicks(600)
+
+	for _, chunk := range []uint64{1, 7, 128} {
+		fl := run(chunk)
+		for i := 0; i < cfg.Buildings; i++ {
+			if got, want := roomStateKey(fl.Building(i)), roomStateKey(ref.Building(i)); got != want {
+				t.Errorf("chunk %d, building %d: zone state diverged from uninterrupted run", chunk, i)
+			}
+			if got, want := traceSHA(t, fl.Building(i)), traceSHA(t, ref.Building(i)); got != want {
+				t.Errorf("chunk %d, building %d: trace %s != uninterrupted %s", chunk, i, got[:12], want[:12])
+			}
+		}
+		got, want := fl.Journal(), ref.Journal()
+		if len(got) != len(want) {
+			t.Fatalf("chunk %d: journal has %d entries, reference %d", chunk, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Tick != want[i].Tick {
+				t.Errorf("chunk %d: journal entry %d at tick %d, reference %d", chunk, i, got[i].Tick, want[i].Tick)
+			}
+		}
+	}
+}
+
 // TestFleetSnapshotExportDrainsPending pins that events still queued at
 // export time land in the snapshot: they are applied at the current
 // boundary and journaled, not dropped.

@@ -18,6 +18,9 @@ import (
 //   - every function that reads or writes a guarded field either locks
 //     the mutex in its own body or carries //bzlint:holds <mu>
 //     documenting that its callers lock;
+//   - a function that takes a mutex only with RLock (no Lock, no
+//     //bzlint:holds) does not assign to or increment a field it guards,
+//     or an element of one: RLock admits other readers at the same time;
 //   - every static caller of a //bzlint:holds function locks (or itself
 //     holds) the required mutex;
 //   - two mutexes are never acquired in both orders (lock-order
@@ -40,14 +43,16 @@ type guardSpec struct {
 }
 
 // lockFacts is what the analyzer knows about one function: the mutexes
-// it locks anywhere in its body and the mutexes //bzlint:holds says its
+// it locks anywhere in its body, the subset it takes with Lock rather
+// than only RLock (wlocks), and the mutexes //bzlint:holds says its
 // callers lock on its behalf.
 type lockFacts struct {
-	pkg   *Package
-	file  *ast.File
-	decl  *ast.FuncDecl
-	locks map[*types.Var]bool
-	holds map[*types.Var]bool
+	pkg    *Package
+	file   *ast.File
+	decl   *ast.FuncDecl
+	locks  map[*types.Var]bool
+	wlocks map[*types.Var]bool
+	holds  map[*types.Var]bool
 }
 
 // lockEdge records where one mutex was first acquired while another was
@@ -149,8 +154,8 @@ func runLockcheck(pkgs []*Package, passes map[*Package]*pass) {
 				if !ok {
 					continue
 				}
-				ff := &lockFacts{pkg: pkg, file: f, decl: fd,
-					locks: map[*types.Var]bool{}, holds: map[*types.Var]bool{}}
+				ff := &lockFacts{pkg: pkg, file: f, decl: fd, locks: map[*types.Var]bool{},
+					wlocks: map[*types.Var]bool{}, holds: map[*types.Var]bool{}}
 				facts[obj.FullName()] = ff
 
 				// Guarded struct received or passed by value: the copy
@@ -196,7 +201,8 @@ func runLockcheck(pkgs []*Package, passes map[*Package]*pass) {
 		}
 	}
 
-	// Rule: guarded-field access requires the lock (or holds).
+	// Rules: guarded-field access requires the lock (or holds), and a
+	// write requires more than a read lock.
 	for _, pkg := range pkgs {
 		p := passes[pkg]
 		for _, f := range pkg.Files {
@@ -210,7 +216,37 @@ func runLockcheck(pkgs []*Package, passes map[*Package]*pass) {
 					continue
 				}
 				ff := facts[obj.FullName()]
+				checkWrite := func(lhs ast.Expr) {
+					lhs = ast.Unparen(lhs)
+					for ix, ok := lhs.(*ast.IndexExpr); ok; ix, ok = lhs.(*ast.IndexExpr) {
+						lhs = ast.Unparen(ix.X) // an element write writes the field's map or slice
+					}
+					sel, ok := lhs.(*ast.SelectorExpr)
+					if !ok {
+						return
+					}
+					s, ok := pkg.Info.Selections[sel]
+					if !ok {
+						return
+					}
+					v, _ := s.Obj().(*types.Var)
+					mu, guarded := guardOf[v]
+					if !guarded || !ff.locks[mu] || ff.wlocks[mu] || ff.holds[mu] {
+						return
+					}
+					p.report(f, sel.Pos(), an,
+						fmt.Sprintf("%s writes %s-guarded field %s holding only a read lock", displayName(pkg, fd), muName[mu], v.Name()),
+						fmt.Sprintf("take %s with Lock for the write: RLock admits other readers at the same time", muName[mu]))
+				}
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							checkWrite(lhs)
+						}
+					case *ast.IncDecStmt:
+						checkWrite(n.X)
+					}
 					sel, ok := n.(*ast.SelectorExpr)
 					if !ok {
 						return true
@@ -390,6 +426,9 @@ func walkLocks(p *pass, ff *lockFacts, muName map[*types.Var]string,
 			switch method {
 			case "Lock", "RLock":
 				ff.locks[mu] = true
+				if method == "Lock" {
+					ff.wlocks[mu] = true
+				}
 				for _, h := range held {
 					if h != mu {
 						onEdge(h, mu, n.Pos())

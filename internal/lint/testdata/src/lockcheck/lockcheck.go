@@ -1,7 +1,8 @@
 // Package lockcheck is the lockcheck analyzer fixture: locked and
 // unlocked guarded-field accesses, a documented //bzlint:holds callee
 // with good and bad callers, a by-value mutex copy, a lock-order
-// inversion pair, an unlock with no preceding lock, and a waived access.
+// inversion pair, an unlock with no preceding lock, a waived access, and
+// reads and writes under an RWMutex's read and write locks.
 package lockcheck
 
 import "sync"
@@ -94,4 +95,47 @@ func (p *Pair) LockBA() {
 	p.y++
 	p.a.Unlock()
 	p.b.Unlock()
+}
+
+// Gauge guards level and its memo seen with an RWMutex.
+//
+//bzlint:guards mu level,seen
+type Gauge struct {
+	mu    sync.RWMutex
+	level int
+	seen  map[string]int
+}
+
+// Level reads under the read lock — negative case.
+func (g *Gauge) Level() int {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.level
+}
+
+// ResetShared writes under the read lock, which other readers share.
+func (g *Gauge) ResetShared() {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	g.level = 0 // want `lockcheck.Gauge.ResetShared writes Gauge.mu-guarded field level holding only a read lock`
+	g.level++   // want `lockcheck.Gauge.ResetShared writes Gauge.mu-guarded field level holding only a read lock`
+}
+
+// MemoShared reads the memo under the read lock, then fills it: a map
+// write, which the read lock does not cover.
+func (g *Gauge) MemoShared(k string) int {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	if v, ok := g.seen[k]; ok {
+		return v
+	}
+	g.seen[k] = g.level // want `lockcheck.Gauge.MemoShared writes Gauge.mu-guarded field seen holding only a read lock`
+	return g.level
+}
+
+// Raise writes under the write lock — negative case.
+func (g *Gauge) Raise() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.level++
 }

@@ -22,8 +22,8 @@ import (
 // Requests rotate across buildings and series so the fold touches many
 // recorders rather than one hot series. The fleet is advanced once,
 // before the timer: the gate measures read throughput at a quiescent
-// epoch boundary, which is also the only state the lock-chunked runner
-// ever exposes to a reader.
+// call boundary, which is also the only state the chunked runner ever
+// exposes to a reader.
 func BenchmarkHTTPQuery(b *testing.B) {
 	const (
 		buildings = 1000

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -561,5 +562,145 @@ func TestSnapshotVersionGuard(t *testing.T) {
 	}
 	if _, err := ReadSnapshot(&buf); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("ReadSnapshot of future version: err = %v, want version guard", err)
+	}
+}
+
+// TestChunkTicks pins the runner's chunk rule: 8192 building-ticks per
+// lock window, within 32 to 512 ticks.
+func TestChunkTicks(t *testing.T) {
+	for _, c := range []struct {
+		buildings int
+		want      uint64
+	}{{1, 512}, {3, 512}, {16, 512}, {17, 481}, {64, 128}, {256, 32}, {1000, 32}, {8192, 32}} {
+		if got := chunkTicks(c.buildings); got != c.want {
+			t.Errorf("chunkTicks(%d) = %d, want %d", c.buildings, got, c.want)
+		}
+	}
+}
+
+// TestStatusDoesNotWaitForFleetLock pins that a status read takes only the
+// run-queue lock: it must answer while the fleet lock is held, as it is
+// for the whole of every runner chunk.
+func TestStatusDoesNotWaitForFleetLock(t *testing.T) {
+	tw, err := NewTwin(context.Background(), testConfig())
+	if err != nil {
+		t.Fatalf("NewTwin: %v", err)
+	}
+	defer tw.Close()
+	got := make(chan Status, 1)
+	tw.mu.Lock()
+	go func() { got <- tw.Status() }()
+	select {
+	case st := <-got:
+		tw.mu.Unlock()
+		if st.Buildings != testConfig().Buildings || st.Ticks != 0 || st.Pending != 0 {
+			t.Fatalf("Status() = %+v, want an idle %d-building twin at tick 0", st, testConfig().Buildings)
+		}
+	case <-time.After(5 * time.Second):
+		tw.mu.Unlock()
+		t.Fatal("Status() waited for the fleet lock")
+	}
+}
+
+// TestTwinReadersWhileRunning drives every route that reads or mutates a
+// twin at once while its runner works through a backlog it cannot finish:
+// queries, CSV exports, series listings, status reads, events and one
+// snapshot must all succeed, and Close must still stop the runner. Run it
+// under the race detector (make race-twin): readers share the fleet lock,
+// so a write on any read path shows up as a race.
+func TestTwinReadersWhileRunning(t *testing.T) {
+	const (
+		warmTicks = 600
+		perKind   = 3 // requests per goroutine
+	)
+	srv := NewServer()
+	defer srv.Close() // stops the runner on early exits; the end of the test checks Close itself
+	h := srv.Handler()
+	serve := func(method, target, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+		return rec
+	}
+	tw, err := NewTwin(context.Background(), testConfig())
+	if err != nil {
+		t.Fatalf("NewTwin: %v", err)
+	}
+	id := srv.reg.add(tw)
+	if err := tw.RunTicks(warmTicks); err != nil {
+		t.Fatalf("warm-up run: %v", err)
+	}
+	waitIdle(t, tw, warmTicks)
+	var name string
+	if err := tw.View(func(fl *fleet.Fleet) error {
+		name = fl.Building(1).Recorder().Names()[0]
+		return nil
+	}); err != nil {
+		t.Fatalf("View: %v", err)
+	}
+	if err := tw.RunTicks(uint64(1) << 40); err != nil {
+		t.Fatalf("backlog run: %v", err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); tw.Status().Ticks == warmTicks; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("runner did not start on the backlog")
+		}
+	}
+
+	window := fmt.Sprintf("from_s=0&to_s=%d&step_s=60", warmTicks)
+	type request struct {
+		method, target, body string
+		want                 int
+	}
+	kinds := []request{
+		{http.MethodGet, "/twins/" + id + "/query?building=1&series=" + name + "&agg=mean&" + window, "", http.StatusOK},
+		{http.MethodGet, "/twins/" + id + "/query?building=2&format=csv&" + window, "", http.StatusOK},
+		{http.MethodGet, "/twins/" + id + "/series?building=0", "", http.StatusOK},
+		{http.MethodGet, "/twins/" + id, "", http.StatusOK},
+		{http.MethodPost, "/twins/" + id + "/events", `{"kind": "climate", "t_c": 31, "dew_c": 24}`, http.StatusAccepted},
+		{http.MethodPost, "/twins/" + id + "/events", `{"kind": "door", "building": 2, "door_s": 15}`, http.StatusAccepted},
+	}
+	// Two goroutines per kind, so every read path also meets itself.
+	var wg sync.WaitGroup
+	for _, req := range kinds {
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perKind; i++ {
+					if rec := serve(req.method, req.target, req.body); rec.Code != req.want {
+						t.Errorf("%s %s: status %d (want %d): %s", req.method, req.target, rec.Code, req.want, rec.Body)
+					}
+				}
+			}()
+		}
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rec := serve(http.MethodGet, "/twins/"+id+"/snapshot", "")
+		if rec.Code != http.StatusOK {
+			t.Errorf("snapshot: status %d: %s", rec.Code, rec.Body)
+			return
+		}
+		snap, err := ReadSnapshot(rec.Body)
+		if err != nil {
+			t.Errorf("snapshot: decode: %v", err)
+			return
+		}
+		if snap.State.Ticks <= warmTicks {
+			t.Errorf("snapshot at tick %d, want past the warm-up's %d", snap.State.Ticks, warmTicks)
+		}
+	}()
+	wg.Wait()
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Close did not stop a busy runner")
 	}
 }
