@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -49,6 +50,11 @@ func run() error {
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
+	// A horizon that is not finite and positive converts to a zero or
+	// negative Duration; reject it before any simulation starts.
+	if math.IsNaN(*hours) || math.IsInf(*hours, 0) || *hours <= 0 {
+		return fmt.Errorf("-hours must be finite and positive, got %v", *hours)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestHistogramPaperWorkedExample(t *testing.T) {
@@ -384,6 +385,59 @@ func TestSchedulerAccuracyTracking(t *testing.T) {
 	}
 	if frac < 0.80 || frac > 1.0 {
 		t.Errorf("accuracy = %v, want in [0.80, 1.0] (paper reaches ~98%%)", frac)
+	}
+}
+
+// Schedulers replayed in lockstep against one shared exact clusterer must
+// score exactly as independent TrackExact schedulers fed the same stream.
+func TestReplayAccuracyMatchesIndependentSchedulers(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		stream := eventStream(3000, 400, rand.New(rand.NewPCG(seed, 11)))
+		var cfgs []Config
+		for _, n := range []int{2, 5, 40, 70} {
+			cfg := DefaultConfig(float64(1 + seed))
+			cfg.N = n
+			cfgs = append(cfgs, cfg)
+		}
+		frac, decisions, err := ReplayAccuracy(stream, cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cfg := range cfgs {
+			cfg.TrackExact = true
+			s, err := NewScheduler(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range stream {
+				s.OnSample(v)
+			}
+			wantFrac, wantDecisions := s.Accuracy()
+			if wantDecisions == 0 {
+				t.Fatalf("seed %d, N=%d: no decisions; the case pins nothing", seed, cfg.N)
+			}
+			if frac[i] != wantFrac || decisions[i] != wantDecisions {
+				t.Errorf("seed %d, N=%d: shared %v over %d, independent %v over %d",
+					seed, cfg.N, frac[i], decisions[i], wantFrac, wantDecisions)
+			}
+		}
+	}
+
+	cfgs := []Config{DefaultConfig(2), DefaultConfig(2)}
+	cfgs[1].Window = DefaultWindow + 1
+	if _, _, err := ReplayAccuracy(eventStream(100, 0, rand.New(rand.NewPCG(1, 1))), cfgs); err == nil {
+		t.Error("configs with different windows share no ground truth; want an error")
+	}
+}
+
+// The TrackExact state lives behind a pointer, so a mote's scheduler (18
+// per building) stays in the 192-byte size class.
+func TestSchedulerSizeClass(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sized for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Scheduler{}); got > 192 {
+		t.Errorf("Scheduler is %d B, want <= 192", got)
 	}
 }
 

@@ -22,10 +22,14 @@ const exactGrid = 4096
 //
 // Threshold is the hottest call in the Figure 12/13 tick path, so the
 // clusterer keeps a persistent sorted mirror of the value log (merged
-// incrementally per call) and reusable scratch buffers, and scans the
-// candidate grid with monotone pointers instead of per-candidate binary
-// searches: O(new·log new + n + grid) per call and allocation-free at
-// steady state, with bit-identical results to the direct evaluation.
+// incrementally per call) and reusable scratch buffers that grow
+// geometrically, and scans the candidate grid with monotone pointers
+// instead of per-candidate binary searches: O(new·log new + n + grid) per
+// call, amortised allocation-free on a growing log, with bit-identical
+// results to the direct evaluation. The result is memoized by log
+// length, so a call with no new value since the last one returns at once;
+// that is what lets several schedulers fed the same stream share one
+// clusterer (ReplayAccuracy).
 type ExactClusterer struct {
 	values []float64
 
@@ -36,6 +40,12 @@ type ExactClusterer struct {
 	tail   []float64
 	merged []float64
 	prefix []float64
+
+	// memoN is the log length memoLambda/memoOK were computed at; 0 means
+	// no memo, since Threshold answers logs shorter than two directly.
+	memoN      int
+	memoLambda float64
+	memoOK     bool
 }
 
 // Add records a variance value.
@@ -53,6 +63,17 @@ func (e *ExactClusterer) Total() int { return len(e.values) }
 func (e *ExactClusterer) Reset() {
 	e.values = e.values[:0]
 	e.sorted = e.sorted[:0]
+	e.memoN = 0
+}
+
+// growTo returns buf emptied, with capacity for at least n values. A
+// reallocation at least doubles the capacity, so a log that grows by a
+// few values per Threshold call reallocates O(log n) times, not per call.
+func growTo(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, 0, max(n, 2*cap(buf)))
+	}
+	return buf[:0]
 }
 
 // syncSorted brings the persistent sorted mirror up to date with the
@@ -67,19 +88,14 @@ func (e *ExactClusterer) syncSorted() {
 	if s == n {
 		return
 	}
-	if cap(e.tail) < n {
-		e.tail = make([]float64, 0, n)
-	}
-	tail := append(e.tail[:0], e.values[s:n]...)
+	e.tail = append(growTo(e.tail, n-s), e.values[s:n]...)
+	tail := e.tail
 	slices.Sort(tail)
 	if s == 0 {
-		e.sorted = append(e.sorted[:0], tail...)
+		e.sorted = append(growTo(e.sorted, n), tail...)
 		return
 	}
-	if cap(e.merged) < n {
-		e.merged = make([]float64, 0, n)
-	}
-	out := e.merged[:0]
+	out := growTo(e.merged, n)
 	i, j := 0, 0
 	for i < s && j < len(tail) {
 		if e.sorted[i] <= tail[j] {
@@ -102,6 +118,17 @@ func (e *ExactClusterer) Threshold() (lambda float64, ok bool) {
 	if n < 2 {
 		return 0, false
 	}
+	if n != e.memoN {
+		e.memoLambda, e.memoOK = e.threshold()
+		e.memoN = n
+	}
+	return e.memoLambda, e.memoOK
+}
+
+// threshold evaluates the objective over the whole log, which holds at
+// least two values; Threshold memoizes its result.
+func (e *ExactClusterer) threshold() (lambda float64, ok bool) {
+	n := len(e.values)
 	e.syncSorted()
 	sorted := e.sorted
 	vmin, vmax := sorted[0], sorted[n-1]
@@ -110,9 +137,7 @@ func (e *ExactClusterer) Threshold() (lambda float64, ok bool) {
 		return 0, false
 	}
 
-	if cap(e.prefix) < n+1 {
-		e.prefix = make([]float64, n+1)
-	}
+	e.prefix = growTo(e.prefix, n+1)
 	prefix := e.prefix[:n+1]
 	prefix[0] = 0
 	for i, v := range sorted {

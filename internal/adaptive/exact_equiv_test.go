@@ -89,6 +89,26 @@ func TestExactThresholdMatchesReferenceIncrementally(t *testing.T) {
 		}
 	}
 
+	// Reset, then refill to the same count with other values: Threshold
+	// memoizes by log length, so a memo that survived Reset would answer
+	// for the old log here.
+	stale, _ := e.Threshold()
+	n := len(log)
+	e.Reset()
+	log = log[:0]
+	for i := 0; i < n; i++ {
+		v := 5 + rng.ExpFloat64()
+		e.Add(v)
+		log = append(log, v)
+	}
+	want := mustRef(t, log)
+	if want == stale {
+		t.Fatal("refilled log has the old threshold; the case cannot see a stale memo")
+	}
+	if got, ok := e.Threshold(); !ok || got != want {
+		t.Errorf("refilled Threshold = %v,%v; reference = %v (pre-Reset λ %v)", got, ok, want, stale)
+	}
+
 	// Reset discards history for both paths.
 	e.Reset()
 	if _, ok := e.Threshold(); ok {
@@ -137,9 +157,10 @@ func TestExactThresholdDegenerateInputs(t *testing.T) {
 	}
 }
 
-// At steady state (no new values since the last call) Threshold performs
-// no allocations: the sorted mirror, scratch, and prefix buffers are all
-// retained.
+// Threshold performs no allocations at steady state (no new values since
+// the last call: the memo answers) and none amortised on a growing log,
+// where the sorted mirror, scratch and prefix buffers grow geometrically
+// instead of being resized to the exact count on every call.
 func TestExactThresholdSteadyStateZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 9))
 	e := &ExactClusterer{}
@@ -156,5 +177,14 @@ func TestExactThresholdSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state Threshold allocates %.2f/op, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(200, func() {
+		e.Add(rng.ExpFloat64())
+		if _, ok := e.Threshold(); !ok {
+			t.Fatal("threshold not ok")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Add+Threshold on a growing log allocates %.2f/op, want 0", allocs)
 	}
 }

@@ -112,28 +112,40 @@ type Scheduler struct {
 	sum    float64
 	sumSq  float64
 
-	hist  *Histogram
-	exact *ExactClusterer
+	hist *Histogram
 
 	lambda      float64
 	lambdaOK    bool
 	sinceLambda float64
-
-	// Ground-truth threshold, recomputed on the same cadence as λ.
-	exactLambda float64
-	exactOK     bool
 
 	w         int
 	stableRun int
 	sinceSend float64
 	everSent  bool
 
-	// Accuracy bookkeeping (TrackExact only).
-	decisions        int
-	matchedDecisions int
-	recent           []bool // ring of recent decision matches
-	recentPos        int
-	recentFull       bool
+	// truth is the ground-truth scoring state, allocated only under
+	// TrackExact so that mote schedulers do not carry it.
+	truth *groundTruth
+}
+
+// groundTruth is a TrackExact scheduler's scoring state: the exact
+// clusterer, the exact threshold refreshed on the same cadence as λ, and
+// the decision tallies behind Accuracy and RecentAccuracy.
+type groundTruth struct {
+	exact *ExactClusterer
+	// feeds reports whether this scheduler adds its variances to exact.
+	// ReplayAccuracy shares one clusterer among schedulers replaying the
+	// same stream: the first one feeds it, the others only read.
+	feeds bool
+
+	lambda float64
+	ok     bool
+
+	decisions  int
+	matched    int
+	recent     [recentWindow]bool // ring of recent decision matches
+	recentPos  int
+	recentFull bool
 }
 
 // recentWindow is the size of the rolling decision-accuracy window used by
@@ -156,7 +168,7 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		w:      1,
 	}
 	if cfg.TrackExact {
-		s.exact = &ExactClusterer{}
+		s.truth = &groundTruth{exact: &ExactClusterer{}, feeds: true}
 	}
 	return s, nil
 }
@@ -181,29 +193,30 @@ func (s *Scheduler) Histogram() *Histogram { return s.hist }
 // matched the exact-clustering ground truth, and the number of decisions
 // made. Requires TrackExact; returns 0, 0 otherwise.
 func (s *Scheduler) Accuracy() (frac float64, decisions int) {
-	if s.decisions == 0 {
+	if s.truth == nil || s.truth.decisions == 0 {
 		return 0, 0
 	}
-	return float64(s.matchedDecisions) / float64(s.decisions), s.decisions
+	return float64(s.truth.matched) / float64(s.truth.decisions), s.truth.decisions
 }
 
 // RecentAccuracy returns the decision accuracy over the most recent
 // window of decisions (up to 256), and the window size. Requires
 // TrackExact.
 func (s *Scheduler) RecentAccuracy() (frac float64, window int) {
-	if s.recent == nil {
+	g := s.truth
+	if g == nil {
 		return 0, 0
 	}
 	n := recentWindow
-	if !s.recentFull {
-		n = s.recentPos
+	if !g.recentFull {
+		n = g.recentPos
 	}
 	if n == 0 {
 		return 0, 0
 	}
 	matched := 0
-	for i := 0; i < n; i++ {
-		if s.recent[i] {
+	for _, m := range g.recent[:n] {
+		if m {
 			matched++
 		}
 	}
@@ -260,8 +273,10 @@ func (s *Scheduler) OnSample(reading float64) Event {
 	ev.Variance = v
 	loBefore, hiBefore, okBefore := s.hist.Range()
 	s.hist.Add(v)
-	if s.exact != nil {
-		s.exact.Add(v)
+	if g := s.truth; g != nil {
+		if g.feeds {
+			g.exact.Add(v)
+		}
 		// A histogram rescale is where the approximation error enters
 		// (old counts are re-rounded onto the new grid) while the device's
 		// own λ stays stale until its periodic update. Refreshing the
@@ -270,10 +285,7 @@ func (s *Scheduler) OnSample(reading float64) Event {
 		// encountered" (Figure 13).
 		//bzlint:allow floateq rescale detection compares stored bounds, copied not recomputed
 		if lo, hi, ok := s.hist.Range(); ok != okBefore || lo != loBefore || hi != hiBefore {
-			if l, ok := s.exact.Threshold(); ok {
-				s.exactLambda = l
-				s.exactOK = true
-			}
+			g.refresh()
 		}
 	}
 
@@ -286,34 +298,16 @@ func (s *Scheduler) OnSample(reading float64) Event {
 			s.lambdaOK = true
 			s.sinceLambda = 0
 		}
-		if s.exact != nil {
-			if l, ok := s.exact.Threshold(); ok {
-				s.exactLambda = l
-				s.exactOK = true
-			}
+		if s.truth != nil {
+			s.truth.refresh()
 		}
 	}
 
 	transition := s.lambdaOK && v > s.lambda
 	ev.Transition = transition
 
-	if s.exact != nil && s.lambdaOK {
-		s.decisions++
-		exactTransition := s.exactOK && v > s.exactLambda
-		matched := exactTransition == transition
-		if matched {
-			s.matchedDecisions++
-		}
-		if s.recent == nil {
-			s.recent = make([]bool, recentWindow)
-		}
-		s.recent[s.recentPos] = matched
-		if s.recentPos++; s.recentPos == recentWindow {
-			s.recentPos = 0
-		}
-		if s.recentPos == 0 {
-			s.recentFull = true
-		}
+	if s.truth != nil && s.lambdaOK {
+		s.truth.score(v, transition)
 	}
 
 	if transition {
@@ -345,4 +339,66 @@ func (s *Scheduler) OnSample(reading float64) Event {
 		s.everSent = true
 	}
 	return ev
+}
+
+// refresh takes the exact clusterer's current threshold, keeping the last
+// one while the clusterer has none.
+func (g *groundTruth) refresh() {
+	if l, ok := g.exact.Threshold(); ok {
+		g.lambda = l
+		g.ok = true
+	}
+}
+
+// score records whether the scheduler's transition decision for variance
+// v matches the exact threshold's.
+func (g *groundTruth) score(v float64, transition bool) {
+	g.decisions++
+	matched := (g.ok && v > g.lambda) == transition
+	if matched {
+		g.matched++
+	}
+	g.recent[g.recentPos] = matched
+	if g.recentPos++; g.recentPos == recentWindow {
+		g.recentPos = 0
+		g.recentFull = true
+	}
+}
+
+// ReplayAccuracy replays one reading stream through a TrackExact scheduler
+// per configuration and returns each one's Accuracy. The schedulers step
+// in lockstep, in index order, against one shared exact clusterer: the
+// variance fed to it depends only on the readings and the window, so the
+// first scheduler adds it and the others read the thresholds it memoizes.
+// The result equals that of independent schedulers, at the cost of one
+// ground truth instead of one per configuration. Every configuration must
+// have the first one's Window.
+func ReplayAccuracy(readings []float64, cfgs []Config) (frac []float64, decisions []int, err error) {
+	scheds := make([]*Scheduler, len(cfgs))
+	for i, cfg := range cfgs {
+		if cfg.Window != cfgs[0].Window {
+			return nil, nil, fmt.Errorf("adaptive: config %d has window %d, config 0 has %d; a shared ground truth needs one window",
+				i, cfg.Window, cfgs[0].Window)
+		}
+		cfg.TrackExact = true
+		s, err := NewScheduler(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		if i > 0 {
+			s.truth.exact, s.truth.feeds = scheds[0].truth.exact, false
+		}
+		scheds[i] = s
+	}
+	for _, v := range readings {
+		for _, s := range scheds {
+			s.OnSample(v)
+		}
+	}
+	frac = make([]float64, len(cfgs))
+	decisions = make([]int, len(cfgs))
+	for i, s := range scheds {
+		frac[i], decisions[i] = s.Accuracy()
+	}
+	return frac, decisions, nil
 }

@@ -63,7 +63,7 @@ type SchedulerState struct {
 
 // ExportState captures the scheduler's learning and timing state.
 func (s *Scheduler) ExportState() (SchedulerState, error) {
-	if s.exact != nil {
+	if s.truth != nil {
 		return SchedulerState{}, fmt.Errorf("adaptive: TrackExact scheduler is not snapshotable")
 	}
 	window := make([]float64, len(s.window))
@@ -91,7 +91,7 @@ func (s *Scheduler) ExportState() (SchedulerState, error) {
 // is rejected before anything is written, since OnSample indexes the
 // window by position; on any error the scheduler is left unchanged.
 func (s *Scheduler) RestoreState(st SchedulerState) error {
-	if s.exact != nil {
+	if s.truth != nil {
 		return fmt.Errorf("adaptive: TrackExact scheduler is not snapshotable")
 	}
 	n := len(s.window)

@@ -113,6 +113,16 @@ func TestNetScenarioStructure(t *testing.T) {
 	}
 }
 
+// A zero or negative horizon is rejected up front: a negative one would
+// otherwise reach sim.Engine.RunFor through the d/2 boot phase.
+func TestRunNetScenarioRejectsNonPositiveHorizon(t *testing.T) {
+	for _, d := range []time.Duration{0, -time.Hour} {
+		if _, err := RunNetScenario(context.Background(), 1, d); err == nil {
+			t.Errorf("RunNetScenario(%v) returned nil, want an error", d)
+		}
+	}
+}
+
 func TestFig12ShapeRisingAndSaturating(t *testing.T) {
 	r, err := testSuite.Fig12(context.Background(), 1, 2*time.Hour, []int{5, 40})
 	if err != nil {

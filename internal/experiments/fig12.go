@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"bubblezero/internal/adaptive"
+	"bubblezero/internal/runner"
 )
 
 // Fig12Point is one row of the histogram-size selection study.
@@ -25,52 +27,54 @@ type Fig12Result struct {
 	Scenario *NetScenario
 }
 
-// fig12Point scores one histogram size against the recorded streams. It
-// only reads the scenario, so distinct Ns replay concurrently.
-func fig12Point(sc *NetScenario, n int) (Fig12Point, error) {
-	acc, err := replayAccuracy(sc, n)
+// fig12Points scores every histogram size in ns against the scenario's
+// recorded streams. Each device's stream is replayed once, all sizes in
+// lockstep against one exact ground truth (adaptive.ReplayAccuracy), and
+// the devices fan out across pool; the fleet mean per size then adds the
+// device accuracies in sorted-ID order, so every point is bit-identical
+// across runs and pool widths.
+func fig12Points(ctx context.Context, pool *runner.Pool, sc *NetScenario, ns []int) ([]Fig12Point, error) {
+	ids := sortedKeys(sc.Readings)
+	fracs := make([][]float64, len(ids))
+	decisions := make([][]int, len(ids))
+	err := pool.ForEach(ctx, len(ids), func(_ context.Context, i int) error {
+		cfgs := make([]adaptive.Config, len(ns))
+		for k, n := range ns {
+			cfgs[k] = adaptive.DefaultConfig(sc.TsplS[ids[i]])
+			cfgs[k].N = n
+		}
+		var err error
+		fracs[i], decisions[i], err = adaptive.ReplayAccuracy(sc.Readings[ids[i]], cfgs)
+		return err
+	})
 	if err != nil {
-		return Fig12Point{}, err
+		return nil, err
 	}
-	hist, err := adaptive.NewHistogram(n)
-	if err != nil {
-		return Fig12Point{}, err
-	}
-	return Fig12Point{
-		N:           n,
-		AccuracyPct: acc * 100,
-		RAMBytes:    hist.RAMBytes(),
-		CPUSeconds:  adaptive.CPUSecondsMSP430(n),
-	}, nil
-}
-
-// replayAccuracy feeds every recorded device stream through a fresh
-// scheduler with histogram size n and returns the mean decision accuracy.
-// Devices are visited in sorted order so the accumulated mean is
-// bit-identical across runs and pool widths.
-func replayAccuracy(sc *NetScenario, n int) (float64, error) {
-	var sum float64
-	devices := 0
-	for _, id := range sortedKeys(sc.Readings) {
-		cfg := adaptive.DefaultConfig(sc.TsplS[id])
-		cfg.N = n
-		cfg.TrackExact = true
-		sched, err := adaptive.NewScheduler(cfg)
+	points := make([]Fig12Point, len(ns))
+	for k, n := range ns {
+		var sum float64
+		devices := 0
+		for i := range ids {
+			if decisions[i][k] > 0 {
+				sum += fracs[i][k]
+				devices++
+			}
+		}
+		if devices == 0 {
+			return nil, fmt.Errorf("experiments: no devices produced decisions")
+		}
+		hist, err := adaptive.NewHistogram(n)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		for _, v := range sc.Readings[id] {
-			sched.OnSample(v)
-		}
-		if frac, decisions := sched.Accuracy(); decisions > 0 {
-			sum += frac
-			devices++
+		points[k] = Fig12Point{
+			N:           n,
+			AccuracyPct: sum / float64(devices) * 100,
+			RAMBytes:    hist.RAMBytes(),
+			CPUSeconds:  adaptive.CPUSecondsMSP430(n),
 		}
 	}
-	if devices == 0 {
-		return 0, fmt.Errorf("experiments: no devices produced decisions")
-	}
-	return sum / float64(devices), nil
+	return points, nil
 }
 
 // Summary renders the N-selection table.

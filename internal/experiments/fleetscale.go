@@ -45,10 +45,12 @@ func FleetScale(ctx context.Context, seed uint64, n, shards int, d time.Duration
 	if err != nil {
 		return nil, err
 	}
+	//bzlint:allow determinism wall-clock throughput measures the host, not the model; it is why -fig all leaves fleet out
 	wall := time.Now()
 	if err := fl.Run(ctx, d); err != nil {
 		return nil, err
 	}
+	//bzlint:allow determinism wall-clock throughput measures the host, not the model; it is why -fig all leaves fleet out
 	elapsed := time.Since(wall).Seconds()
 	r := &FleetScaleResult{
 		Buildings:        n,

@@ -152,6 +152,7 @@ func (s *Suite) Lifetime(ctx context.Context, seed uint64) (*LifetimeResult, err
 // Ratio is the adaptive/fixed median lifetime ratio (censoring makes it
 // a lower bound when adaptive motes outlive the horizon).
 func (r *LifetimeResult) Ratio() float64 {
+	//bzlint:allow floateq zero guard before dividing; any nonzero median gives a finite ratio
 	if r.Fixed.MedianMin == 0 {
 		return 0
 	}

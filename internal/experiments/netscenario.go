@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -70,6 +71,9 @@ type NetScenario struct {
 // path shared by Figures 12–15. The returned scenario is immutable once
 // returned and safe to read from concurrent goroutines.
 func RunNetScenario(ctx context.Context, seed uint64, d time.Duration) (*NetScenario, error) {
+	if d <= 0 {
+		return nil, fmt.Errorf("experiments: scenario duration must be positive, got %v", d)
+	}
 	netScenarioRuns.Add(1)
 	cfg := core.DefaultConfig()
 	cfg.Seed = seed
@@ -134,50 +138,54 @@ func RunNetScenario(ctx context.Context, seed uint64, d time.Duration) (*NetScen
 		idx++
 	}
 
-	// Per-device hooks.
+	// Per-device hooks. The hooks and the per-tick probe index their state
+	// by position in one device list; the ID-keyed maps are filled once at
+	// the end.
 	engine := sys.Engine()
-	for _, dev := range sys.Devices() {
-		dev := dev
+	devices := sys.Devices()
+	readings := make([][]float64, len(devices))
+	transitions := make([][]time.Time, len(devices))
+	for i, dev := range devices {
 		id := string(dev.Node().ID())
 		sc.TsplS[id] = dev.Scheduler().Config().TsplS
 		tsnd := trace.NewRecorder().Series("tsnd." + id)
 		sc.Tsnd[id] = tsnd
 		dev.OnSample(func(value, tsndS float64, transition bool) {
-			sc.Readings[id] = append(sc.Readings[id], value)
-			_ = tsnd.Append(engine.Clock().Now(), tsndS)
+			readings[i] = append(readings[i], value)
+			now := engine.Clock().Now()
+			_ = tsnd.Append(now, tsndS)
 			if transition {
-				sc.Transitions[id] = append(sc.Transitions[id], engine.Clock().Now())
+				transitions[i] = append(transitions[i], now)
 			}
 		})
 	}
 
 	// Fleet accuracy sampling and histogram-range stability tracking.
-	lastRange := make(map[string][2]float64)
-	lastMinChange := make(map[string]time.Duration)
-	lastMaxChange := make(map[string]time.Duration)
+	ranges := make([]rangeTrack, len(devices))
 	var sinceAcc float64
 	engine.Register(sim.ComponentFunc{ID: "scenario.probe", Fn: func(env *sim.Env) {
-		for _, dev := range sys.Devices() {
-			id := string(dev.Node().ID())
+		for i, dev := range devices {
 			lo, hi, ok := dev.Scheduler().Histogram().Range()
 			if !ok {
 				continue
 			}
-			prev, seen := lastRange[id]
-			if !seen || prev[0] != lo {
-				lastMinChange[id] = env.Elapsed()
+			r := &ranges[i]
+			//bzlint:allow floateq range-change detection compares stored bounds, copied not recomputed
+			if !r.seen || r.lo != lo {
+				r.minChange = env.Elapsed()
 			}
-			if !seen || prev[1] != hi {
-				lastMaxChange[id] = env.Elapsed()
+			//bzlint:allow floateq range-change detection compares stored bounds, copied not recomputed
+			if !r.seen || r.hi != hi {
+				r.maxChange = env.Elapsed()
 			}
-			lastRange[id] = [2]float64{lo, hi}
+			r.lo, r.hi, r.seen = lo, hi, true
 		}
 		sinceAcc += env.Dt()
 		if sinceAcc >= 300 {
 			sinceAcc = 0
 			var sum float64
 			n := 0
-			for _, dev := range sys.Devices() {
+			for _, dev := range devices {
 				if frac, win := dev.Scheduler().RecentAccuracy(); win > 0 {
 					sum += frac
 					n++
@@ -198,36 +206,52 @@ func RunNetScenario(ctx context.Context, seed uint64, d time.Duration) (*NetScen
 	if err := sys.Run(ctx, boot); err != nil {
 		return nil, err
 	}
-	bootDrain := make(map[string]float64, len(sys.Devices()))
-	for _, dev := range sys.Devices() {
-		bootDrain[string(dev.Node().ID())] = dev.Node().Battery().UsedJ()
+	bootDrain := make([]float64, len(devices))
+	for i, dev := range devices {
+		bootDrain[i] = dev.Node().Battery().UsedJ()
 	}
 	if err := sys.Run(ctx, d-boot); err != nil {
 		return nil, err
 	}
 	sc.SteadyElapsed = d - boot
 
-	for _, dev := range sys.Devices() {
+	var minChanges, maxChanges []time.Duration
+	for i, dev := range devices {
 		id := string(dev.Node().ID())
 		sc.DrainJ[id] = dev.Node().Battery().UsedJ()
-		sc.SteadyDrainJ[id] = sc.DrainJ[id] - bootDrain[id]
+		sc.SteadyDrainJ[id] = sc.DrainJ[id] - bootDrain[i]
+		if len(readings[i]) > 0 {
+			sc.Readings[id] = readings[i]
+		}
+		if len(transitions[i]) > 0 {
+			sc.Transitions[id] = transitions[i]
+		}
+		if ranges[i].seen {
+			minChanges = append(minChanges, ranges[i].minChange)
+			maxChanges = append(maxChanges, ranges[i].maxChange)
+		}
 	}
-	sc.VarMinStableAt = medianDuration(lastMinChange)
-	sc.VarMaxStableAt = medianDuration(lastMaxChange)
+	sc.VarMinStableAt = medianDuration(minChanges)
+	sc.VarMaxStableAt = medianDuration(maxChanges)
 	sc.NetStats = sys.Network().Stats()
 	return sc, nil
 }
 
-// medianDuration returns the median of the map values (0 when empty).
-func medianDuration(m map[string]time.Duration) time.Duration {
-	if len(m) == 0 {
+// rangeTrack follows one device's histogram range: the last bounds seen
+// and the elapsed time at which each bound last moved.
+type rangeTrack struct {
+	lo, hi               float64
+	seen                 bool
+	minChange, maxChange time.Duration
+}
+
+// medianDuration returns the median of ds, sorting it in place (0 when
+// empty).
+func medianDuration(ds []time.Duration) time.Duration {
+	if len(ds) == 0 {
 		return 0
 	}
-	ds := make([]time.Duration, 0, len(m))
-	for _, d := range m {
-		ds = append(ds, d)
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	slices.Sort(ds)
 	return ds[len(ds)/2]
 }
 
@@ -237,6 +261,7 @@ func medianDuration(m map[string]time.Duration) time.Duration {
 // reorder the additions and perturb the last bits.
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
+	//bzlint:allow determinism keys are sorted below, so iteration order is immaterial
 	for k := range m {
 		keys = append(keys, k)
 	}

@@ -54,8 +54,8 @@ func (s *Suite) PurgeScenarios() { s.scenarios.Purge() }
 
 // Fig12 replays the scenario's recorded sensor streams through schedulers
 // of varying histogram size and scores each against the exact-clustering
-// ground truth. The scenario is memoized and the per-N replays are fanned
-// across the pool.
+// ground truth. The scenario is memoized; each device's stream is replayed
+// once for every size, and the devices are fanned across the pool.
 func (s *Suite) Fig12(ctx context.Context, seed uint64, d time.Duration, ns []int) (*Fig12Result, error) {
 	if len(ns) == 0 {
 		ns = []int{5, 10, 15, 20, 25, 30, 40, 50, 60, 70}
@@ -64,19 +64,11 @@ func (s *Suite) Fig12(ctx context.Context, seed uint64, d time.Duration, ns []in
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig12Result{Scenario: sc, Points: make([]Fig12Point, len(ns))}
-	err = s.pool.ForEach(ctx, len(ns), func(_ context.Context, i int) error {
-		p, err := fig12Point(sc, ns[i])
-		if err != nil {
-			return err
-		}
-		res.Points[i] = p
-		return nil
-	})
+	points, err := fig12Points(ctx, s.pool, sc, ns)
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return &Fig12Result{Scenario: sc, Points: points}, nil
 }
 
 // Fig13 runs (or reuses, via the scenario cache) the event workload and

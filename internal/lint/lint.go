@@ -46,7 +46,7 @@ func DefaultConfig() Config {
 		"sim": true, "core": true, "wsn": true, "adaptive": true,
 		"fault": true, "thermal": true, "hydraulic": true,
 		"radiant": true, "vent": true, "multihop": true, "trace": true,
-		"fleet": true, "twin": true,
+		"fleet": true, "twin": true, "experiments": true, "report": true,
 	}
 	feq := map[string]bool{"psychro": true}
 	for k := range det {

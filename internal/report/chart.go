@@ -56,6 +56,7 @@ func Chart(s *trace.Series, width, height int) string {
 			hi = cols[c]
 		}
 	}
+	//bzlint:allow floateq flat-range guard: equal bounds would divide by zero when scaling rows
 	if hi == lo {
 		hi = lo + 1
 	}

@@ -43,29 +43,22 @@ func GenerateWith(ctx context.Context, suite *experiments.Suite, seed uint64, ho
 			return nil
 		}
 	}
+	// Workers take sections in submission order. Fig12 goes first: it
+	// simulates the shared scenario and then fans its replay out across the
+	// pool. The sections that never touch the scenario follow, so no worker
+	// parks on the scenario's singleflight while there is other work; Figs
+	// 13–15, which only read the scenario, come last.
 	err := suite.Pool().Run(ctx,
+		section("fig12", func(ctx context.Context) (err error) {
+			fig12, err = suite.Fig12(ctx, seed, d, nil)
+			return
+		}),
 		section("fig10", func(ctx context.Context) (err error) {
 			fig10, err = experiments.Fig10(ctx, seed)
 			return
 		}),
 		section("fig11", func(ctx context.Context) (err error) {
 			fig11, err = experiments.Fig11(ctx, seed)
-			return
-		}),
-		section("fig12", func(ctx context.Context) (err error) {
-			fig12, err = suite.Fig12(ctx, seed, d, nil)
-			return
-		}),
-		section("fig13", func(ctx context.Context) (err error) {
-			fig13, err = suite.Fig13(ctx, seed, d)
-			return
-		}),
-		section("fig14", func(ctx context.Context) (err error) {
-			fig14, err = suite.Fig14(ctx, seed, d)
-			return
-		}),
-		section("fig15", func(ctx context.Context) (err error) {
-			fig15, err = suite.Fig15(ctx, seed, d)
 			return
 		}),
 		section("exergy audit", func(ctx context.Context) (err error) {
@@ -82,6 +75,18 @@ func GenerateWith(ctx context.Context, suite *experiments.Suite, seed uint64, ho
 		}),
 		section("desync", func(ctx context.Context) (err error) {
 			ds, err = suite.AblationDesync(ctx, seed, 30*time.Minute)
+			return
+		}),
+		section("fig13", func(ctx context.Context) (err error) {
+			fig13, err = suite.Fig13(ctx, seed, d)
+			return
+		}),
+		section("fig14", func(ctx context.Context) (err error) {
+			fig14, err = suite.Fig14(ctx, seed, d)
+			return
+		}),
+		section("fig15", func(ctx context.Context) (err error) {
+			fig15, err = suite.Fig15(ctx, seed, d)
 			return
 		}),
 	)

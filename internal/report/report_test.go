@@ -134,6 +134,17 @@ func TestGenerateFullReport(t *testing.T) {
 	if len(out) < 3000 {
 		t.Errorf("report suspiciously short: %d bytes", len(out))
 	}
+
+	// The bytes must not depend on the pool width: sections are submitted
+	// out of report order and Figure 12 fans its replay out over devices.
+	var serial strings.Builder
+	if err := GenerateWith(context.Background(), experiments.NewSuite(1), 1, 1.5, &serial); err != nil {
+		t.Fatal(err)
+	}
+	if serial.String() != out {
+		t.Errorf("report at pool width 1 differs from width %d:\n--- width 1\n%s\n--- width %d\n%s",
+			runtime.NumCPU(), serial.String(), runtime.NumCPU(), out)
+	}
 }
 
 func TestGenerateCancelled(t *testing.T) {

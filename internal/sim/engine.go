@@ -145,8 +145,12 @@ func (e *Engine) ctxCheckEvery() uint64 {
 // d up to a multiple of Clock.Step themselves. The context is checked at
 // least once per simulated minute (and at least every 4096 ticks, for
 // steps coarser than ~15 ms) so that long runs remain cancellable without
-// a per-tick overhead.
+// a per-tick overhead. A negative d is an error and runs nothing; as a
+// tick count it would wrap to about 1.8e19 ticks.
 func (e *Engine) RunFor(ctx context.Context, d time.Duration) error {
+	if d < 0 {
+		return fmt.Errorf("sim: run: negative duration %v", d)
+	}
 	ticks := uint64(d / e.clock.Step())
 	return e.RunTicks(ctx, ticks)
 }

@@ -125,6 +125,18 @@ func TestEngineRunForWholeTicks(t *testing.T) {
 	}
 }
 
+func TestEngineRunForRejectsNegativeDuration(t *testing.T) {
+	e := NewEngine(MustClock(testStart, time.Second), 1)
+	n := 0
+	e.Register(ComponentFunc{ID: "count", Fn: func(*Env) { n++ }})
+	if err := e.RunFor(context.Background(), -time.Second); err == nil {
+		t.Error("RunFor(-1s) returned nil, want an error")
+	}
+	if now := e.Clock().Now(); !now.Equal(testStart) || n != 0 {
+		t.Errorf("RunFor(-1s) moved the clock to %v and stepped %d times, want no change", now, n)
+	}
+}
+
 func TestEngineContextCancellation(t *testing.T) {
 	e := NewEngine(MustClock(testStart, time.Second), 1)
 	e.Register(ComponentFunc{ID: "noop", Fn: func(*Env) {}})
