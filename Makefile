@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt-check lint lint-fix-hints race race-fault race-twin bench-smoke bench-tick bench-tick-json bench-fleet bench-fleet-json bench-http bench-http-json bench-e2e-smoke benchguard repin ci
+.PHONY: all build test vet fmt-check lint lint-fix-hints race race-fault race-twin bench-smoke bench-tick bench-tick-json bench-fleet bench-fleet-json bench-http bench-http-json bench-e2e-smoke benchguard repin report-diff ci
 
 all: build
 
@@ -127,6 +127,13 @@ benchguard:
 repin:
 	@test -n "$(REASON)" || { echo 'make repin requires REASON="why the bits moved"' >&2; exit 1; }
 	$(GO) run ./cmd/goldendump -repin internal/experiments/testdata/golden_epoch.json -reason "$(REASON)"
+
+# Check that a change moves no reported byte: the -report at seeds 1, 9
+# and 26 and `-fig all -hours 1` must be byte-identical to those built at
+# BASE (a git revision). Not part of ci, since it needs a base to compare.
+report-diff:
+	@test -n "$(BASE)" || { echo 'make report-diff requires BASE=<git revision>' >&2; exit 1; }
+	GO=$(GO) sh scripts/reportdiff "$(BASE)"
 
 # The end-to-end benchmark's own tests: a tiny-scale run of every
 # workload with its correctness gates (fleet bit-identity, byte-identical

@@ -7,9 +7,10 @@
 //	experiments -fig all -parallel 4 -cpuprofile cpu.out
 //
 // Independent experiments fan out across a bounded worker pool (-parallel
-// controls the width; 0 means NumCPU), and Figures 12–15 share a single
-// memoized scenario simulation. -cpuprofile / -memprofile capture pprof
-// profiles of the run for tuning the runner.
+// controls the width; 0 means NumCPU), Figures 12–15 share a single
+// memoized scenario simulation, and Figure 11, the exergy audit and the
+// supply sweep share the memoized steady-state trials. -cpuprofile /
+// -memprofile capture pprof profiles of the run for tuning the runner.
 package main
 
 import (
@@ -22,6 +23,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"time"
 
 	"bubblezero/internal/experiments"
@@ -106,7 +108,8 @@ func run() error {
 
 	// Each figure renders to its own slot; with -fig all the jobs fan out
 	// across the pool and print in the fixed figure order once all are
-	// done. Figures 12–15 share one scenario simulation via the suite.
+	// done. The suite runs each distinct simulation once: Figures 12–15
+	// share one scenario, and 11, exergy and ablations share their trials.
 	type sectionFn func(ctx context.Context) (string, error)
 	sections := []struct {
 		name string
@@ -125,7 +128,7 @@ func run() error {
 			return r.Summary() + "\n", nil
 		}},
 		{"11", func(ctx context.Context) (string, error) {
-			r, err := experiments.Fig11(ctx, *seed)
+			r, err := suite.Fig11(ctx, *seed)
 			if err != nil {
 				return "", err
 			}
@@ -199,7 +202,7 @@ func run() error {
 			return r.Summary(), nil
 		}},
 		{"exergy", func(ctx context.Context) (string, error) {
-			r, err := experiments.ExergyAudit(ctx, *seed)
+			r, err := suite.ExergyAudit(ctx, *seed)
 			if err != nil {
 				return "", err
 			}
@@ -227,10 +230,26 @@ func run() error {
 		}},
 	}
 
+	// Workers take jobs in the report's submission order, not the printed
+	// one (report.GenerateWith): Figure 12 first, since it simulates the
+	// shared scenario and then fans its replay out across the pool; then
+	// the sections that never touch the scenario, the exergy audit after
+	// the ablations so that it finds Figure 11's trials cached instead of
+	// waiting for them; Figures 13–15, which only read the scenario, last.
+	submitRank := map[string]int{"12": -1, "exergy": 1, "13": 2, "14": 2, "15": 2}
+	order := make([]int, len(sections))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return submitRank[sections[a].name] - submitRank[sections[b].name]
+	})
+
 	all := *fig == "all"
 	outputs := make([]string, len(sections))
 	jobs := make([]runner.Job, 0, len(sections))
-	for i, s := range sections {
+	for _, i := range order {
+		s := sections[i]
 		if !all && *fig != s.name {
 			continue
 		}
@@ -241,7 +260,6 @@ func run() error {
 		if all && s.name == "fleet" {
 			continue
 		}
-		i, s := i, s
 		jobs = append(jobs, func(ctx context.Context) error {
 			out, err := s.fn(ctx)
 			if err != nil {

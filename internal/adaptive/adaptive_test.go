@@ -3,6 +3,7 @@ package adaptive
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -399,7 +400,7 @@ func TestReplayAccuracyMatchesIndependentSchedulers(t *testing.T) {
 			cfg.N = n
 			cfgs = append(cfgs, cfg)
 		}
-		frac, decisions, err := ReplayAccuracy(stream, cfgs)
+		frac, decisions, err := ReplayAccuracy(stream, cfgs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -425,8 +426,77 @@ func TestReplayAccuracyMatchesIndependentSchedulers(t *testing.T) {
 
 	cfgs := []Config{DefaultConfig(2), DefaultConfig(2)}
 	cfgs[1].Window = DefaultWindow + 1
-	if _, _, err := ReplayAccuracy(eventStream(100, 0, rand.New(rand.NewPCG(1, 1))), cfgs); err == nil {
+	if _, _, err := ReplayAccuracy(eventStream(100, 0, rand.New(rand.NewPCG(1, 1))), cfgs, nil); err == nil {
 		t.Error("configs with different windows share no ground truth; want an error")
+	}
+}
+
+// A replay seeded with the ground truth of an earlier pass over the same
+// readings scores exactly as an unseeded one, and evaluates only the log
+// lengths the seed lacks.
+func TestReplayAccuracySeededMatchesUnseeded(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		tspl := float64(1 + seed)
+		stream := eventStream(3000, 400, rand.New(rand.NewPCG(seed, 11)))
+		var cfgs []Config
+		for _, n := range []int{2, 5, 40, 70} {
+			cfg := DefaultConfig(tspl)
+			cfg.N = n
+			cfgs = append(cfgs, cfg)
+		}
+		plain := &ExactClusterer{}
+		wantFrac, wantDecisions, err := replayAccuracy(stream, cfgs, plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own := plain.ExactThresholds()
+
+		// The ground truth of an independent N = 40 scheduler, as the §V-C
+		// scenario's motes record it.
+		mote := DefaultConfig(tspl)
+		mote.TrackExact = true
+		s, err := NewScheduler(mote)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range stream {
+			s.OnSample(v)
+		}
+		truth := s.ExactThresholds()
+		if len(truth) == 0 {
+			t.Fatalf("seed %d: the N = 40 scheduler recorded no thresholds; the case pins nothing", seed)
+		}
+		frac, decisions, err := ReplayAccuracy(stream, cfgs, truth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range cfgs {
+			if frac[i] != wantFrac[i] || decisions[i] != wantDecisions[i] {
+				t.Errorf("seed %d, N=%d: seeded %v over %d, unseeded %v over %d",
+					seed, cfgs[i].N, frac[i], decisions[i], wantFrac[i], wantDecisions[i])
+			}
+		}
+
+		// Seeded with every length it asks for, the replay evaluates
+		// nothing: the sorted mirror is built only by an evaluation.
+		reseeded := &ExactClusterer{}
+		reseeded.Seed(own)
+		frac, decisions, err = replayAccuracy(stream, cfgs, reseeded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(reseeded.sorted) != 0 {
+			t.Errorf("seed %d: a replay seeded with its own %d lengths evaluated a threshold", seed, len(own))
+		}
+		if !slices.Equal(reseeded.ExactThresholds(), own) {
+			t.Errorf("seed %d: a replay seeded with its own lengths recorded other answers", seed)
+		}
+		for i := range cfgs {
+			if frac[i] != wantFrac[i] || decisions[i] != wantDecisions[i] {
+				t.Errorf("seed %d, N=%d: self-seeded %v over %d, unseeded %v over %d",
+					seed, cfgs[i].N, frac[i], decisions[i], wantFrac[i], wantDecisions[i])
+			}
+		}
 	}
 }
 

@@ -26,10 +26,15 @@ const exactGrid = 4096
 // geometrically, and scans the candidate grid with monotone pointers
 // instead of per-candidate binary searches: O(new·log new + n + grid) per
 // call, amortised allocation-free on a growing log, with bit-identical
-// results to the direct evaluation. The result is memoized by log
-// length, so a call with no new value since the last one returns at once;
-// that is what lets several schedulers fed the same stream share one
-// clusterer (ReplayAccuracy).
+// results to the direct evaluation.
+//
+// Every answer is recorded with the log length it was computed at
+// (ExactThresholds), so a call with no new value since the last one
+// returns at once; that is what lets several schedulers fed the same
+// stream share one clusterer (ReplayAccuracy). Because the threshold
+// depends only on the logged values, the records of one pass over a
+// stream also answer a later pass over the same stream: Seed hands them
+// to a fresh clusterer, which evaluates only the lengths they lack.
 type ExactClusterer struct {
 	values []float64
 
@@ -41,11 +46,22 @@ type ExactClusterer struct {
 	merged []float64
 	prefix []float64
 
-	// memoN is the log length memoLambda/memoOK were computed at; 0 means
-	// no memo, since Threshold answers logs shorter than two directly.
-	memoN      int
-	memoLambda float64
-	memoOK     bool
+	// answers records every threshold Threshold returned for a log of two
+	// or more values, in increasing log length.
+	answers []ExactThreshold
+	// seed holds the records of an earlier pass over the same stream, and
+	// next is the forward cursor Threshold looks lengths up with: a log
+	// only grows, so the lengths asked for only increase.
+	seed []ExactThreshold
+	next int
+}
+
+// ExactThreshold is one recorded answer of an ExactClusterer: the
+// threshold (Lambda, OK) it returned for a log of N values.
+type ExactThreshold struct {
+	N      int
+	Lambda float64
+	OK     bool
 }
 
 // Add records a variance value.
@@ -59,11 +75,30 @@ func (e *ExactClusterer) Add(v float64) {
 // Total returns the number of stored values.
 func (e *ExactClusterer) Total() int { return len(e.values) }
 
-// Reset discards the history.
+// Reset discards the history: the values, the recorded answers and the
+// seed, which described the discarded stream.
 func (e *ExactClusterer) Reset() {
 	e.values = e.values[:0]
 	e.sorted = e.sorted[:0]
-	e.memoN = 0
+	e.answers = nil
+	e.seed, e.next = nil, 0
+}
+
+// Seed hands the clusterer the records of an earlier pass over the same
+// stream of values, in increasing N (another clusterer's ExactThresholds).
+// Threshold then answers a log length found there from the record
+// instead of evaluating it. The records are valid only for that stream:
+// seeded with another stream's, Threshold returns that stream's answers.
+func (e *ExactClusterer) Seed(records []ExactThreshold) {
+	e.seed, e.next = records, 0
+}
+
+// ExactThresholds returns every answer Threshold has given for a log of
+// two or more values, in increasing log length. The clusterer only
+// appends to the list, and Reset starts a new one, so the returned slice
+// never changes.
+func (e *ExactClusterer) ExactThresholds() []ExactThreshold {
+	return slices.Clip(e.answers)
 }
 
 // growTo returns buf emptied, with capacity for at least n values. A
@@ -118,15 +153,24 @@ func (e *ExactClusterer) Threshold() (lambda float64, ok bool) {
 	if n < 2 {
 		return 0, false
 	}
-	if n != e.memoN {
-		e.memoLambda, e.memoOK = e.threshold()
-		e.memoN = n
+	if k := len(e.answers); k > 0 && e.answers[k-1].N == n {
+		return e.answers[k-1].Lambda, e.answers[k-1].OK
 	}
-	return e.memoLambda, e.memoOK
+	for e.next < len(e.seed) && e.seed[e.next].N < n {
+		e.next++
+	}
+	a := ExactThreshold{N: n}
+	if e.next < len(e.seed) && e.seed[e.next].N == n {
+		a = e.seed[e.next]
+	} else {
+		a.Lambda, a.OK = e.threshold()
+	}
+	e.answers = append(e.answers, a)
+	return a.Lambda, a.OK
 }
 
 // threshold evaluates the objective over the whole log, which holds at
-// least two values; Threshold memoizes its result.
+// least two values; Threshold records its result.
 func (e *ExactClusterer) threshold() (lambda float64, ok bool) {
 	n := len(e.values)
 	e.syncSorted()

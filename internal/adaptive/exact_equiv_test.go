@@ -89,11 +89,13 @@ func TestExactThresholdMatchesReferenceIncrementally(t *testing.T) {
 		}
 	}
 
-	// Reset, then refill to the same count with other values: Threshold
-	// memoizes by log length, so a memo that survived Reset would answer
-	// for the old log here.
+	// Seed the clusterer with its own answers, Reset it, then refill it to
+	// a seeded count with other values: Threshold answers a recorded or
+	// seeded length without evaluating, so records or a seed that survived
+	// Reset would answer for the old log here.
 	stale, _ := e.Threshold()
 	n := len(log)
+	e.Seed(e.ExactThresholds())
 	e.Reset()
 	log = log[:0]
 	for i := 0; i < n; i++ {
@@ -103,7 +105,7 @@ func TestExactThresholdMatchesReferenceIncrementally(t *testing.T) {
 	}
 	want := mustRef(t, log)
 	if want == stale {
-		t.Fatal("refilled log has the old threshold; the case cannot see a stale memo")
+		t.Fatal("refilled log has the old threshold; the case cannot see a stale answer")
 	}
 	if got, ok := e.Threshold(); !ok || got != want {
 		t.Errorf("refilled Threshold = %v,%v; reference = %v (pre-Reset λ %v)", got, ok, want, stale)
@@ -158,9 +160,10 @@ func TestExactThresholdDegenerateInputs(t *testing.T) {
 }
 
 // Threshold performs no allocations at steady state (no new values since
-// the last call: the memo answers) and none amortised on a growing log,
-// where the sorted mirror, scratch and prefix buffers grow geometrically
-// instead of being resized to the exact count on every call.
+// the last call: the last record answers) and none amortised on a growing
+// log, where the sorted mirror, scratch and prefix buffers and the
+// records grow geometrically instead of being resized to the exact count
+// on every call.
 func TestExactThresholdSteadyStateZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 9))
 	e := &ExactClusterer{}

@@ -199,6 +199,17 @@ func (s *Scheduler) Accuracy() (frac float64, decisions int) {
 	return float64(s.truth.matched) / float64(s.truth.decisions), s.truth.decisions
 }
 
+// ExactThresholds returns every ground-truth threshold the scheduler's
+// exact clusterer has answered, in increasing log length: the seed for a
+// later replay of the same readings (ReplayAccuracy). Requires
+// TrackExact; returns nil otherwise.
+func (s *Scheduler) ExactThresholds() []ExactThreshold {
+	if s.truth == nil {
+		return nil
+	}
+	return s.truth.exact.ExactThresholds()
+}
+
 // RecentAccuracy returns the decision accuracy over the most recent
 // window of decisions (up to 256), and the window size. Requires
 // TrackExact.
@@ -369,11 +380,24 @@ func (g *groundTruth) score(v float64, transition bool) {
 // per configuration and returns each one's Accuracy. The schedulers step
 // in lockstep, in index order, against one shared exact clusterer: the
 // variance fed to it depends only on the readings and the window, so the
-// first scheduler adds it and the others read the thresholds it memoizes.
+// first scheduler adds it and the others read the thresholds it records.
 // The result equals that of independent schedulers, at the cost of one
 // ground truth instead of one per configuration. Every configuration must
 // have the first one's Window.
-func ReplayAccuracy(readings []float64, cfgs []Config) (frac []float64, decisions []int, err error) {
+//
+// truth, when not nil, seeds the shared clusterer (ExactClusterer.Seed)
+// with the ground truth of an earlier pass, such as the ExactThresholds
+// of a TrackExact scheduler that ran on these readings. It is valid only
+// for the same readings and the same Window; the result is then the same
+// as unseeded, and only the lengths truth lacks are evaluated.
+func ReplayAccuracy(readings []float64, cfgs []Config, truth []ExactThreshold) (frac []float64, decisions []int, err error) {
+	exact := &ExactClusterer{}
+	exact.Seed(truth)
+	return replayAccuracy(readings, cfgs, exact)
+}
+
+// replayAccuracy is ReplayAccuracy with the shared clusterer supplied.
+func replayAccuracy(readings []float64, cfgs []Config, exact *ExactClusterer) (frac []float64, decisions []int, err error) {
 	scheds := make([]*Scheduler, len(cfgs))
 	for i, cfg := range cfgs {
 		if cfg.Window != cfgs[0].Window {
@@ -385,9 +409,7 @@ func ReplayAccuracy(readings []float64, cfgs []Config) (frac []float64, decision
 		if err != nil {
 			return nil, nil, err
 		}
-		if i > 0 {
-			s.truth.exact, s.truth.feeds = scheds[0].truth.exact, false
-		}
+		s.truth.exact, s.truth.feeds = exact, i == 0
 		scheds[i] = s
 	}
 	for _, v := range readings {

@@ -8,6 +8,7 @@ import (
 
 	"bubblezero/internal/adaptive"
 	"bubblezero/internal/core"
+	"bubblezero/internal/energy"
 	"bubblezero/internal/exergy"
 	"bubblezero/internal/wsn"
 )
@@ -25,30 +26,15 @@ type SupplyTempPoint struct {
 	ReachedTarget bool
 }
 
-// supplyTempPoint runs one steady-state trial of the supply-temperature
-// sweep. Each call builds its own system (and RNG streams), so points are
-// independent and safe to compute concurrently.
-func supplyTempPoint(ctx context.Context, seed uint64, tc float64) (SupplyTempPoint, error) {
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
-	cfg.RadiantSetpointC = tc
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		return SupplyTempPoint{}, err
-	}
-	if err := sys.Run(ctx, time.Hour); err != nil {
-		return SupplyTempPoint{}, err
-	}
-	sys.ResetCOP()
-	if err := sys.Run(ctx, time.Hour); err != nil {
-		return SupplyTempPoint{}, err
-	}
+// supplyTempPoint derives one row of the supply-temperature sweep from
+// the steady trial at that radiant supply temperature.
+func supplyTempPoint(tc float64, tr steadyTrial) SupplyTempPoint {
 	return SupplyTempPoint{
 		TSupplyC:      tc,
-		ChillerCOP:    exergy.DefaultChiller().COP(tc, cfg.Thermal.Outdoor.T),
-		SystemCOP:     sys.COPTotal().Value(),
-		ReachedTarget: sys.Room().AverageT() < 25.6,
-	}, nil
+		ChillerCOP:    exergy.DefaultChiller().COP(tc, core.DefaultConfig().Thermal.Outdoor.T),
+		SystemCOP:     energy.Combine(tr.Radiant, tr.Vent).Value(),
+		ReachedTarget: tr.FinalTempC < 25.6,
+	}
 }
 
 // NoCouplingResult is the control-decomposition ablation: running the

@@ -4,6 +4,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -84,6 +87,25 @@ func TestFig10MetricsWithinGoldenEpochBounds(t *testing.T) {
 	if e.PrevMetrics != nil {
 		if err := CheckFig10Bounds(*e.PrevMetrics); err != nil {
 			t.Errorf("epoch v%d prev_metrics: %v", e.Version, err)
+		}
+	}
+}
+
+// NaN compares false with every bound, so a check written as "below lo or
+// above hi" passes it. Any single metric set to NaN must fail the bounds,
+// naming that metric.
+func TestCheckFig10BoundsRejectsNaN(t *testing.T) {
+	base := loadEpoch(t).Metrics
+	if err := CheckFig10Bounds(base); err != nil {
+		t.Fatal(err)
+	}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		m := base
+		reflect.ValueOf(&m).Elem().Field(i).SetFloat(math.NaN())
+		name := typ.Field(i).Tag.Get("json")
+		if err := CheckFig10Bounds(m); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s = NaN: bounds check = %v, want a %s violation", typ.Field(i).Name, err, name)
 		}
 	}
 }

@@ -18,14 +18,14 @@ const GoldenEpochPath = "testdata/golden_epoch.json"
 type Fig10Metrics struct {
 	// TempConvergeMin / DewConvergeMin: minutes until the room average
 	// first reaches within 0.3 K of the 25 °C / 18 °C-dew targets
-	// (paper: ≈30 min each).
+	// (paper: ≈30 min each); −1 when it never does.
 	TempConvergeMin float64 `json:"temp_converge_min"`
 	DewConvergeMin  float64 `json:"dew_converge_min"`
 	// Event1DewBlipC: subspace-1 dew excursion after the 15 s door
 	// opening (paper: ≈0.6 °C).
 	Event1DewBlipC float64 `json:"event1_dew_blip_c"`
 	// Event2RecoveryMin: minutes to re-enter the dew band after the
-	// 2-minute opening (paper: ≈15 min).
+	// 2-minute opening (paper: ≈15 min); −1 when it never does.
 	Event2RecoveryMin float64 `json:"event2_recovery_min"`
 	// CondensationS: cumulative panel condensation exposure (paper:
 	// condensation never occurred).
@@ -53,10 +53,11 @@ func (r *Fig10Result) Metrics() Fig10Metrics {
 }
 
 // CheckFig10Bounds validates metrics against the documented paper-anchored
-// tolerance bounds. These are the acceptance envelope for a golden-epoch
-// re-pin: a kernel restructure may move float bits, but if it pushes any
-// headline metric outside these bounds it changed the physics, not just
-// the arithmetic association, and must not be pinned.
+// tolerance bounds; a NaN metric, or a −1 "never", fails them. These are
+// the acceptance envelope for a golden-epoch re-pin: a kernel restructure
+// may move float bits, but if it pushes any headline metric outside these
+// bounds it changed the physics, not just the arithmetic association, and
+// must not be pinned.
 //
 // The bounds and their anchors:
 //
@@ -74,7 +75,9 @@ func (r *Fig10Result) Metrics() Fig10Metrics {
 func CheckFig10Bounds(m Fig10Metrics) error {
 	var violations []string
 	check := func(name string, v, lo, hi float64) {
-		if v < lo || v > hi {
+		// Written as "not inside" so that NaN, which compares false with
+		// everything, fails too.
+		if !(v >= lo && v <= hi) {
 			violations = append(violations,
 				fmt.Sprintf("%s = %v outside [%v, %v]", name, v, lo, hi))
 		}

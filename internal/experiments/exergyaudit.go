@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"bubblezero/internal/baseline"
 	"bubblezero/internal/core"
+	"bubblezero/internal/energy"
 	"bubblezero/internal/exergy"
-	"bubblezero/internal/sim"
-	"bubblezero/internal/thermal"
 )
 
 // ExergyRow is one subsystem's second-law account over the measurement
@@ -47,53 +45,23 @@ type ExergyAuditResult struct {
 }
 
 // ExergyAudit measures one steady-state hour of BubbleZERO and the AirCon
-// baseline and accounts for each subsystem's exergy flow.
+// baseline and accounts for each subsystem's exergy flow, on a suite of
+// its own (Suite.ExergyAudit).
 func ExergyAudit(ctx context.Context, seed uint64) (*ExergyAuditResult, error) {
-	const boot, measure = time.Hour, time.Hour
+	return NewSuite(1).ExergyAudit(ctx, seed)
+}
 
+// exergyAuditFromTrials accounts for the exergy flows of the two trials.
+func exergyAuditFromTrials(bz steadyTrial, airCon energy.COP) *ExergyAuditResult {
 	cfg := core.DefaultConfig()
-	cfg.Seed = seed
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.Run(ctx, boot); err != nil {
-		return nil, err
-	}
-	sys.ResetCOP()
-	if err := sys.Run(ctx, measure); err != nil {
-		return nil, err
-	}
-
-	room, err := thermal.NewRoomAtOutdoor(cfg.Thermal)
-	if err != nil {
-		return nil, err
-	}
-	unit, err := baseline.New(baseline.DefaultConfig(), room)
-	if err != nil {
-		return nil, err
-	}
-	engine := sim.NewEngine(sim.MustClock(cfg.Start, cfg.Step), seed)
-	engine.Register(unit)
-	engine.Register(room)
-	if err := engine.RunFor(ctx, boot); err != nil {
-		return nil, err
-	}
-	unit.ResetCOP()
-	if err := engine.RunFor(ctx, measure); err != nil {
-		return nil, err
-	}
-
 	outdoor := cfg.Thermal.Outdoor.T
-	secs := measure.Seconds()
+	secs := steadyMeasure.Seconds()
 	minWork := func(q, tWork float64) float64 {
 		carnot := exergy.CarnotCOPCooling(tWork, outdoor)
 		return q / carnot
 	}
 
-	radiant := sys.COPRadiant()
-	vent := sys.COPVent()
-	aircon := unit.COP()
+	radiant, vent := bz.Radiant, bz.Vent
 	res := &ExergyAuditResult{Outdoor: outdoor}
 	rows := []ExergyRow{
 		{
@@ -113,9 +81,9 @@ func ExergyAudit(ctx context.Context, seed uint64) (*ExergyAuditResult, error) {
 		{
 			Name:     "AirCon (8 °C air)",
 			TWorkC:   baseline.DefaultConfig().SupplyAirC,
-			RemovedW: aircon.RemovedJ / secs,
-			MinWorkW: minWork(aircon.RemovedJ/secs, baseline.DefaultConfig().SupplyAirC),
-			ActualW:  aircon.ConsumedJ / secs,
+			RemovedW: airCon.RemovedJ / secs,
+			MinWorkW: minWork(airCon.RemovedJ/secs, baseline.DefaultConfig().SupplyAirC),
+			ActualW:  airCon.ConsumedJ / secs,
 		},
 	}
 	// Whole-BubbleZERO row: duty-weighted across the two modules.
@@ -127,7 +95,7 @@ func ExergyAudit(ctx context.Context, seed uint64) (*ExergyAuditResult, error) {
 		ActualW:  rows[0].ActualW + rows[1].ActualW,
 	}
 	res.Rows = append(rows, total)
-	return res, nil
+	return res
 }
 
 // Summary renders the audit table.

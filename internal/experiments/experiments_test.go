@@ -39,6 +39,28 @@ func TestFig10ReproducesHeadline(t *testing.T) {
 	}
 }
 
+// A crossing the trial never reaches is −1 min, not the zero "instant",
+// and fails the paper bounds by name. Seeds 10 and 12 settle with the room
+// dew point above the 18.3 °C band.
+func TestFig10NeverConvergedIsMinusOne(t *testing.T) {
+	for _, seed := range []uint64{10, 12} {
+		r, err := Fig10(context.Background(), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.DewConverge != -time.Minute {
+			t.Errorf("seed %d: dew convergence %v, want -1m0s (never)", seed, r.DewConverge)
+		}
+		m := r.Metrics()
+		if m.DewConvergeMin != -1 {
+			t.Errorf("seed %d: dew_converge_min = %v, want -1", seed, m.DewConvergeMin)
+		}
+		if err := CheckFig10Bounds(m); err == nil || !strings.Contains(err.Error(), "dew_converge_min") {
+			t.Errorf("seed %d: bounds check = %v, want a dew_converge_min violation", seed, err)
+		}
+	}
+}
+
 func TestFig10WriteTable(t *testing.T) {
 	r, err := Fig10(context.Background(), 1)
 	if err != nil {

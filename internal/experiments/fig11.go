@@ -7,6 +7,7 @@ import (
 
 	"bubblezero/internal/baseline"
 	"bubblezero/internal/core"
+	"bubblezero/internal/energy"
 	"bubblezero/internal/sim"
 	"bubblezero/internal/thermal"
 )
@@ -28,65 +29,98 @@ type Fig11Result struct {
 	VentRemovedW, VentConsumedW       float64
 }
 
-// Fig11 boots both systems to steady state and measures one steady hour.
-func Fig11(ctx context.Context, seed uint64) (*Fig11Result, error) {
-	const (
-		boot    = time.Hour
-		measure = time.Hour
-	)
+// The steady-state measurement behind Figure 11, the exergy audit and the
+// supply-temperature sweep: one hour from the outdoor state to steady
+// operation, a COP reset, then one measured hour.
+const (
+	steadyBoot    = time.Hour
+	steadyMeasure = time.Hour
+)
 
-	// BubbleZERO.
+// steadyTrial is one steady-state measurement of BubbleZERO.
+type steadyTrial struct {
+	// Radiant and Vent are the two modules' COP meters over the measured
+	// hour.
+	Radiant, Vent energy.COP
+	// FinalTempC is the room average temperature at the end.
+	FinalTempC float64
+}
+
+// runSteadyTrial measures BubbleZERO with its radiant supply water at
+// setpointC. Each call builds its own system and RNG streams, so trials
+// are independent and safe to run concurrently.
+func runSteadyTrial(ctx context.Context, seed uint64, setpointC float64) (steadyTrial, error) {
 	cfg := core.DefaultConfig()
 	cfg.Seed = seed
+	cfg.RadiantSetpointC = setpointC
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
-		return nil, err
+		return steadyTrial{}, err
 	}
-	if err := sys.Run(ctx, boot); err != nil {
-		return nil, err
+	if err := sys.Run(ctx, steadyBoot); err != nil {
+		return steadyTrial{}, err
 	}
 	sys.ResetCOP()
-	if err := sys.Run(ctx, measure); err != nil {
-		return nil, err
+	if err := sys.Run(ctx, steadyMeasure); err != nil {
+		return steadyTrial{}, err
 	}
+	return steadyTrial{
+		Radiant:    sys.COPRadiant(),
+		Vent:       sys.COPVent(),
+		FinalTempC: sys.Room().AverageT(),
+	}, nil
+}
 
-	// Conventional AirCon on an identical room.
+// runAirConTrial measures the conventional AirCon baseline on an identical
+// room, on the steady trial's schedule, and returns its COP meter over the
+// measured hour.
+func runAirConTrial(ctx context.Context, seed uint64) (energy.COP, error) {
+	cfg := core.DefaultConfig()
 	room, err := thermal.NewRoomAtOutdoor(cfg.Thermal)
 	if err != nil {
-		return nil, err
+		return energy.COP{}, err
 	}
 	unit, err := baseline.New(baseline.DefaultConfig(), room)
 	if err != nil {
-		return nil, err
+		return energy.COP{}, err
 	}
-	clock := sim.MustClock(cfg.Start, cfg.Step)
-	engine := sim.NewEngine(clock, seed)
+	engine := sim.NewEngine(sim.MustClock(cfg.Start, cfg.Step), seed)
 	engine.Register(unit)
 	engine.Register(room)
-	if err := engine.RunFor(ctx, boot); err != nil {
-		return nil, err
+	if err := engine.RunFor(ctx, steadyBoot); err != nil {
+		return energy.COP{}, err
 	}
 	unit.ResetCOP()
-	if err := engine.RunFor(ctx, measure); err != nil {
-		return nil, err
+	if err := engine.RunFor(ctx, steadyMeasure); err != nil {
+		return energy.COP{}, err
 	}
+	return unit.COP(), nil
+}
 
-	r := sys.COPRadiant()
-	v := sys.COPVent()
+// Fig11 boots both systems to steady state and measures one steady hour,
+// on a suite of its own (Suite.Fig11).
+func Fig11(ctx context.Context, seed uint64) (*Fig11Result, error) {
+	return NewSuite(1).Fig11(ctx, seed)
+}
+
+// fig11FromTrials derives the COP comparison from the two trials.
+func fig11FromTrials(bz steadyTrial, airCon energy.COP) *Fig11Result {
+	secs := steadyMeasure.Seconds()
+	r, v := bz.Radiant, bz.Vent
 	res := &Fig11Result{
-		AirCon:           unit.COP().Value(),
+		AirCon:           airCon.Value(),
 		BubbleC:          r.Value(),
 		BubbleV:          v.Value(),
-		BubbleZERO:       sys.COPTotal().Value(),
-		RadiantRemovedW:  r.RemovedJ / measure.Seconds(),
-		RadiantConsumedW: r.ConsumedJ / measure.Seconds(),
-		VentRemovedW:     v.RemovedJ / measure.Seconds(),
-		VentConsumedW:    v.ConsumedJ / measure.Seconds(),
+		BubbleZERO:       energy.Combine(r, v).Value(),
+		RadiantRemovedW:  r.RemovedJ / secs,
+		RadiantConsumedW: r.ConsumedJ / secs,
+		VentRemovedW:     v.RemovedJ / secs,
+		VentConsumedW:    v.ConsumedJ / secs,
 	}
 	if res.AirCon > 0 {
 		res.ImprovementPct = (res.BubbleZERO - res.AirCon) / res.AirCon * 100
 	}
-	return res, nil
+	return res
 }
 
 // Summary renders the bar values next to the paper's.

@@ -29,10 +29,11 @@ type Fig12Result struct {
 
 // fig12Points scores every histogram size in ns against the scenario's
 // recorded streams. Each device's stream is replayed once, all sizes in
-// lockstep against one exact ground truth (adaptive.ReplayAccuracy), and
-// the devices fan out across pool; the fleet mean per size then adds the
-// device accuracies in sorted-ID order, so every point is bit-identical
-// across runs and pool widths.
+// lockstep against one exact ground truth (adaptive.ReplayAccuracy) that
+// starts from the thresholds the scenario's mote already evaluated on the
+// same readings, and the devices fan out across pool; the fleet mean per
+// size then adds the device accuracies in sorted-ID order, so every point
+// is bit-identical across runs and pool widths.
 func fig12Points(ctx context.Context, pool *runner.Pool, sc *NetScenario, ns []int) ([]Fig12Point, error) {
 	ids := sortedKeys(sc.Readings)
 	fracs := make([][]float64, len(ids))
@@ -44,7 +45,7 @@ func fig12Points(ctx context.Context, pool *runner.Pool, sc *NetScenario, ns []i
 			cfgs[k].N = n
 		}
 		var err error
-		fracs[i], decisions[i], err = adaptive.ReplayAccuracy(sc.Readings[ids[i]], cfgs)
+		fracs[i], decisions[i], err = adaptive.ReplayAccuracy(sc.Readings[ids[i]], cfgs, sc.GroundTruth[ids[i]])
 		return err
 	})
 	if err != nil {

@@ -49,9 +49,9 @@ func perNFig12Point(sc *NetScenario, n int) (Fig12Point, error) {
 	}, nil
 }
 
-// Replaying each device once against a shared exact clusterer, fanned out
-// over devices, must give every Fig12Point of the per-size replay bit for
-// bit, at any pool width.
+// Replaying each device once against a shared exact clusterer seeded with
+// the scenario's ground truth, fanned out over devices, must give every
+// Fig12Point of the per-size replay bit for bit, at any pool width.
 func TestFig12SharedGroundTruthMatchesPerN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays three 2 h scenarios")
@@ -62,6 +62,11 @@ func TestFig12SharedGroundTruthMatchesPerN(t *testing.T) {
 		sc, err := testSuite.NetScenario(ctx, seed, 2*time.Hour)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, id := range sortedKeys(sc.Readings) {
+			if len(sc.GroundTruth[id]) == 0 {
+				t.Errorf("seed %d: %s has readings but no ground truth; the replay starts from nothing", seed, id)
+			}
 		}
 		want := make([]Fig12Point, len(ns))
 		for k, n := range ns {

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bubblezero/internal/adaptive"
 	"bubblezero/internal/core"
 	"bubblezero/internal/sim"
 	"bubblezero/internal/thermal"
@@ -43,6 +44,12 @@ type NetScenario struct {
 	Readings map[string][]float64
 	// TsplS is each device's sampling period.
 	TsplS map[string]float64
+	// GroundTruth is each device's exact-clustering ground truth: every
+	// threshold its mote's N = 40 scheduler took from its exact clusterer
+	// (adaptive.Scheduler.ExactThresholds). It depends only on Readings and
+	// the scheduler window, so a replay of Readings starts from it
+	// (Figure 12).
+	GroundTruth map[string][]adaptive.ExactThreshold
 	// Tsnd records the transmission period in effect at every sampling
 	// instant per device.
 	Tsnd map[string]*trace.Series
@@ -89,6 +96,7 @@ func RunNetScenario(ctx context.Context, seed uint64, d time.Duration) (*NetScen
 		Duration:     d,
 		Readings:     make(map[string][]float64),
 		TsplS:        make(map[string]float64),
+		GroundTruth:  make(map[string][]adaptive.ExactThreshold),
 		Tsnd:         make(map[string]*trace.Series),
 		Transitions:  make(map[string][]time.Time),
 		Accuracy:     trace.NewRecorder().Series("accuracy"),
@@ -222,6 +230,9 @@ func RunNetScenario(ctx context.Context, seed uint64, d time.Duration) (*NetScen
 		sc.SteadyDrainJ[id] = sc.DrainJ[id] - bootDrain[i]
 		if len(readings[i]) > 0 {
 			sc.Readings[id] = readings[i]
+		}
+		if truth := dev.Scheduler().ExactThresholds(); len(truth) > 0 {
+			sc.GroundTruth[id] = truth
 		}
 		if len(transitions[i]) > 0 {
 			sc.Transitions[id] = transitions[i]

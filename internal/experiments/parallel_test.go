@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -114,6 +115,62 @@ func TestPoolWidthBitIdentical(t *testing.T) {
 	}
 	if *ncS != *ncW {
 		t.Errorf("no-coupling ablation differs across pool widths: %+v vs %+v", ncS, ncW)
+	}
+}
+
+// Figure 11, the exergy audit and the supply sweep read one steady trial
+// per (seed, supply temperature) and one AirCon trial per seed. Run
+// concurrently on one suite, each must equal its result from a suite of
+// its own, and the suite must hold exactly the distinct trials: the four
+// sweep temperatures, 18 °C among them, and one AirCon baseline.
+func TestSuiteSharesSteadyTrials(t *testing.T) {
+	ctx := context.Background()
+	for _, seed := range []uint64{1, 9, 26} {
+		want11, err := NewSuite(1).Fig11(ctx, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantAudit, err := NewSuite(1).ExergyAudit(ctx, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSweep, err := NewSuite(1).AblationSupplyTemp(ctx, seed, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, width := range []int{1, runtime.NumCPU()} {
+			suite := NewSuite(width)
+			var (
+				f11   *Fig11Result
+				audit *ExergyAuditResult
+				sweep []SupplyTempPoint
+			)
+			err := suite.Pool().Run(ctx,
+				func(ctx context.Context) (err error) { f11, err = suite.Fig11(ctx, seed); return err },
+				func(ctx context.Context) (err error) { audit, err = suite.ExergyAudit(ctx, seed); return err },
+				func(ctx context.Context) (err error) {
+					sweep, err = suite.AblationSupplyTemp(ctx, seed, nil)
+					return err
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *f11 != *want11 {
+				t.Errorf("seed %d, width %d: shared Fig11 %+v, alone %+v", seed, width, f11, want11)
+			}
+			if audit.Outdoor != wantAudit.Outdoor || !slices.Equal(audit.Rows, wantAudit.Rows) {
+				t.Errorf("seed %d, width %d: shared audit %+v, alone %+v", seed, width, audit, wantAudit)
+			}
+			if !slices.Equal(sweep, wantSweep) {
+				t.Errorf("seed %d, width %d: shared sweep %+v, alone %+v", seed, width, sweep, wantSweep)
+			}
+			if n := suite.steady.Len(); n != 4 {
+				t.Errorf("seed %d, width %d: suite holds %d steady trials, want 4", seed, width, n)
+			}
+			if n := suite.airCon.Len(); n != 1 {
+				t.Errorf("seed %d, width %d: suite holds %d AirCon trials, want 1", seed, width, n)
+			}
+		}
 	}
 }
 

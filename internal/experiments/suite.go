@@ -4,6 +4,8 @@ import (
 	"context"
 	"time"
 
+	"bubblezero/internal/core"
+	"bubblezero/internal/energy"
 	"bubblezero/internal/runner"
 )
 
@@ -15,9 +17,13 @@ import (
 const scenarioCacheEntries = 4
 
 // Suite bundles the concurrency substrate for the experiment battery: a
-// bounded worker pool for fanning out independent runs and a singleflight
-// scenario cache so every figure that replays the §V-C workload shares
-// one simulation per (seed, duration).
+// bounded worker pool for fanning out independent runs and singleflight
+// caches so every figure runs each distinct simulation once. The §V-C
+// scenario is shared per (seed, duration) by Figures 12–15; the
+// steady-state trial is shared per (seed, radiant supply temperature) by
+// Figure 11, the exergy audit and the supply sweep, whose 18 °C point is
+// Figure 11's trial; and the AirCon baseline is shared per seed by Figure
+// 11 and the exergy audit.
 //
 // Results are deterministic at any pool width: jobs write into per-index
 // slots, each simulation owns its RNG streams, and fleet aggregations
@@ -25,14 +31,26 @@ const scenarioCacheEntries = 4
 type Suite struct {
 	pool      *runner.Pool
 	scenarios *runner.ScenarioCache[*NetScenario]
+	// steady and airCon hold a few floats per trial, so they keep every
+	// key.
+	steady *runner.Cache[steadyKey, steadyTrial]
+	airCon *runner.Cache[uint64, energy.COP]
+}
+
+// steadyKey identifies one steady-state trial.
+type steadyKey struct {
+	seed      uint64
+	setpointC float64
 }
 
 // NewSuite returns a suite with the given worker count (<= 0 selects
-// NumCPU) and a fresh scenario cache.
+// NumCPU) and fresh caches.
 func NewSuite(workers int) *Suite {
 	return &Suite{
 		pool:      runner.NewPool(workers),
 		scenarios: runner.NewScenarioCache[*NetScenario](scenarioCacheEntries),
+		steady:    runner.NewCache[steadyKey, steadyTrial](0),
+		airCon:    runner.NewCache[uint64, energy.COP](0),
 	}
 }
 
@@ -52,10 +70,57 @@ func (s *Suite) CachedScenarios() int { return s.scenarios.Len() }
 // PurgeScenarios drops every retained scenario, releasing their memory.
 func (s *Suite) PurgeScenarios() { s.scenarios.Purge() }
 
+// steadyTrial returns the memoized steady-state trial at the given radiant
+// supply temperature, running it at most once per (seed, setpointC).
+func (s *Suite) steadyTrial(ctx context.Context, seed uint64, setpointC float64) (steadyTrial, error) {
+	return s.steady.Do(ctx, steadyKey{seed: seed, setpointC: setpointC}, func(ctx context.Context) (steadyTrial, error) {
+		return runSteadyTrial(ctx, seed, setpointC)
+	})
+}
+
+// steadyAndAirCon returns Figure 11's two memoized trials, BubbleZERO at
+// its default supply temperature and the AirCon baseline, running any
+// that is not cached concurrently on the pool.
+func (s *Suite) steadyAndAirCon(ctx context.Context, seed uint64) (bz steadyTrial, airCon energy.COP, err error) {
+	err = s.pool.Run(ctx,
+		func(ctx context.Context) (err error) {
+			bz, err = s.steadyTrial(ctx, seed, core.DefaultConfig().RadiantSetpointC)
+			return err
+		},
+		func(ctx context.Context) (err error) {
+			airCon, err = s.airCon.Do(ctx, seed, func(ctx context.Context) (energy.COP, error) {
+				return runAirConTrial(ctx, seed)
+			})
+			return err
+		})
+	return bz, airCon, err
+}
+
+// Fig11 compares the COP of BubbleZERO, its two modules and the AirCon
+// baseline over one steady hour. Both trials are memoized.
+func (s *Suite) Fig11(ctx context.Context, seed uint64) (*Fig11Result, error) {
+	bz, airCon, err := s.steadyAndAirCon(ctx, seed)
+	if err != nil {
+		return nil, err
+	}
+	return fig11FromTrials(bz, airCon), nil
+}
+
+// ExergyAudit accounts for the exergy flows of Figure 11's two trials,
+// which it shares through the suite's caches.
+func (s *Suite) ExergyAudit(ctx context.Context, seed uint64) (*ExergyAuditResult, error) {
+	bz, airCon, err := s.steadyAndAirCon(ctx, seed)
+	if err != nil {
+		return nil, err
+	}
+	return exergyAuditFromTrials(bz, airCon), nil
+}
+
 // Fig12 replays the scenario's recorded sensor streams through schedulers
 // of varying histogram size and scores each against the exact-clustering
 // ground truth. The scenario is memoized; each device's stream is replayed
-// once for every size, and the devices are fanned across the pool.
+// once for every size, starting from the ground truth the scenario's mote
+// recorded, and the devices are fanned across the pool.
 func (s *Suite) Fig12(ctx context.Context, seed uint64, d time.Duration, ns []int) (*Fig12Result, error) {
 	if len(ns) == 0 {
 		ns = []int{5, 10, 15, 20, 25, 30, 40, 50, 60, 70}
@@ -106,20 +171,20 @@ func (s *Suite) Fig15(ctx context.Context, seed uint64, d time.Duration) (*Fig15
 // AblationSupplyTemp sweeps the radiant supply-water temperature,
 // demonstrating the paper's central design argument: warmer water means
 // less lift, less exergy, and higher COP — until the panels can no longer
-// move enough heat. The per-temperature steady-state runs fan out across
-// the pool; each run derives its own system, so results are independent
-// of worker count.
+// move enough heat. Each point is the suite's memoized steady trial at
+// that temperature, so the 18 °C point is Figure 11's trial; the trials
+// not yet cached fan out across the pool.
 func (s *Suite) AblationSupplyTemp(ctx context.Context, seed uint64, temps []float64) ([]SupplyTempPoint, error) {
 	if len(temps) == 0 {
 		temps = []float64{10, 14, 18, 21}
 	}
 	out := make([]SupplyTempPoint, len(temps))
 	err := s.pool.ForEach(ctx, len(temps), func(ctx context.Context, i int) error {
-		p, err := supplyTempPoint(ctx, seed, temps[i])
+		tr, err := s.steadyTrial(ctx, seed, temps[i])
 		if err != nil {
 			return err
 		}
-		out[i] = p
+		out[i] = supplyTempPoint(temps[i], tr)
 		return nil
 	})
 	if err != nil {

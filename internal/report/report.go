@@ -15,14 +15,14 @@ import (
 // charts of the key series. hours controls the networking-scenario length
 // (the paper uses five). Sections are computed concurrently on the
 // suite's pool — Figures 12–15 share a single memoized scenario
-// simulation — and written in the fixed section order. The caller's suite
-// sets the worker count and the scenario-cache lifetime.
+// simulation, and Figure 11, the exergy audit and the supply sweep share
+// the memoized steady-state trials — and written in the fixed section
+// order. The caller's suite sets the worker count and the cache lifetime.
 func GenerateWith(ctx context.Context, suite *experiments.Suite, seed uint64, hours float64, w io.Writer) error {
 	d := time.Duration(hours * float64(time.Hour))
 
 	// Phase 1: compute every section concurrently. Each job writes its own
-	// result slot; the scenario cache deduplicates the Figures 12–15
-	// workload down to one simulation.
+	// result slot; the suite's caches run each distinct simulation once.
 	var (
 		fig10 *experiments.Fig10Result
 		fig11 *experiments.Fig11Result
@@ -46,8 +46,11 @@ func GenerateWith(ctx context.Context, suite *experiments.Suite, seed uint64, ho
 	// Workers take sections in submission order. Fig12 goes first: it
 	// simulates the shared scenario and then fans its replay out across the
 	// pool. The sections that never touch the scenario follow, so no worker
-	// parks on the scenario's singleflight while there is other work; Figs
-	// 13–15, which only read the scenario, come last.
+	// parks on the scenario's singleflight while there is other work. Among
+	// them the exergy audit, which reads Figure 11's two trials, comes after
+	// the ablations, so that on a wide pool it finds those trials cached
+	// instead of waiting for Fig11's worker to finish them. Figs 13–15,
+	// which only read the scenario, come last.
 	err := suite.Pool().Run(ctx,
 		section("fig12", func(ctx context.Context) (err error) {
 			fig12, err = suite.Fig12(ctx, seed, d, nil)
@@ -58,11 +61,7 @@ func GenerateWith(ctx context.Context, suite *experiments.Suite, seed uint64, ho
 			return
 		}),
 		section("fig11", func(ctx context.Context) (err error) {
-			fig11, err = experiments.Fig11(ctx, seed)
-			return
-		}),
-		section("exergy audit", func(ctx context.Context) (err error) {
-			audit, err = experiments.ExergyAudit(ctx, seed)
+			fig11, err = suite.Fig11(ctx, seed)
 			return
 		}),
 		section("supply sweep", func(ctx context.Context) (err error) {
@@ -75,6 +74,10 @@ func GenerateWith(ctx context.Context, suite *experiments.Suite, seed uint64, ho
 		}),
 		section("desync", func(ctx context.Context) (err error) {
 			ds, err = suite.AblationDesync(ctx, seed, 30*time.Minute)
+			return
+		}),
+		section("exergy audit", func(ctx context.Context) (err error) {
+			audit, err = suite.ExergyAudit(ctx, seed)
 			return
 		}),
 		section("fig13", func(ctx context.Context) (err error) {
