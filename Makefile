@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt-check lint lint-fix-hints race race-fault race-twin bench-smoke bench-tick bench-tick-json bench-fleet bench-fleet-json bench-http bench-http-json bench-e2e-smoke benchguard repin report-diff ci
+.PHONY: all build test vet fmt-check lint lint-fix-hints race race-fault race-twin bench-smoke bench-tick bench-tick-json bench-fleet bench-fleet-json bench-http bench-http-json bench-e2e-smoke fuzz-smoke benchguard repin report-diff ci
 
 all: build
 
@@ -111,6 +111,13 @@ bench-http-json:
 	$(GO) test -bench HTTPQuery -benchmem -benchtime 2000x -count 6 -run '^$$' ./internal/twin \
 		| tee /dev/stderr | sh scripts/bench_json.sh > BENCH_http.json
 
+# Ten seconds of coverage-guided fuzzing of the trace series decoder, the
+# first decoder a twin restore feeds untrusted bytes. The checked-in
+# corpus (internal/trace/testdata/fuzz) runs first; a failure found here
+# lands there as a new regression input.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzSeriesStateGobDecode$$' -fuzztime 10s ./internal/trace
+
 # Regression gate: fail when a guarded rate (BenchmarkSystemTick ticks/s,
 # BenchmarkFleetTick/N1000xS8 building-ticks/s) falls more than
 # BENCHGUARD_PCT (default 10%) below its committed baseline. Best-of-BENCHGUARD_COUNT runs, so one noisy scheduling slice
@@ -143,5 +150,5 @@ report-diff:
 bench-e2e-smoke:
 	$(GO) -C bench test ./...
 
-ci: benchguard fmt-check vet lint race-fault race bench-smoke bench-tick bench-fleet bench-http bench-e2e-smoke race-twin
+ci: benchguard fmt-check vet lint race-fault race bench-smoke bench-tick bench-fleet bench-http bench-e2e-smoke race-twin fuzz-smoke
 	@echo ci: OK

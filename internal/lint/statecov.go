@@ -18,11 +18,14 @@ import (
 // and method declarations — or carry a per-field
 // //bzlint:allow statecov <reason> waiver. A field threaded through a
 // full positional composite literal counts as referenced; a keyed
-// composite literal counts only the keys it names. The analyzer also
-// flags fields whose types gob cannot round-trip: func and chan types
-// anywhere in the field's type graph, and reachable struct types with
-// unexported fields (gob silently drops them) unless the type
-// serializes itself via GobEncode or MarshalBinary.
+// composite literal counts only the keys it names. A state struct whose
+// package declares GobEncode and GobDecode methods on it encodes itself,
+// so gob never sees its fields: every field must also be referenced in
+// both methods, under the same waiver. The analyzer also flags fields
+// whose types gob cannot round-trip: func and chan types anywhere in the
+// field's type graph, and reachable struct types with unexported fields
+// (gob silently drops them) unless the type serializes itself via
+// GobEncode or MarshalBinary.
 func runStatecov(pkgs []*Package, passes map[*Package]*pass) {
 	for _, pkg := range pkgs {
 		p := passes[pkg]
@@ -123,8 +126,9 @@ func checkStateStruct(p *pass, f *ast.File, ts *ast.TypeSpec, st *ast.StructType
 		}
 	}
 
-	// Collect the field objects referenced inside the capture set and the
-	// restore set.
+	// Collect the field objects referenced inside each function set that
+	// must thread every field: capture and restore, and the struct's own
+	// codec when it has one.
 	refs := func(decls []*ast.FuncDecl) map[*types.Var]bool {
 		out := map[*types.Var]bool{}
 		for _, fd := range decls {
@@ -132,20 +136,31 @@ func checkStateStruct(p *pass, f *ast.File, ts *ast.TypeSpec, st *ast.StructType
 		}
 		return out
 	}
-	capRefs := refs(funcs[captureName])
-	resRefs := refs(funcs[restoreName])
+	type threading struct {
+		role, fn string
+		refs     map[*types.Var]bool
+	}
+	var threads []threading
+	if !missingFn {
+		threads = append(threads,
+			threading{"capture", captureName, refs(funcs[captureName])},
+			threading{"restore", restoreName, refs(funcs[restoreName])})
+	}
+	tn := p.pkg.Info.Defs[ts.Name]
+	enc := methodDecls(p.pkg.Info, funcs["GobEncode"], tn)
+	dec := methodDecls(p.pkg.Info, funcs["GobDecode"], tn)
+	if len(enc) > 0 && len(dec) > 0 {
+		threads = append(threads,
+			threading{"capture", "GobEncode", refs(enc)},
+			threading{"restore", "GobDecode", refs(dec)})
+	}
 
 	for _, fi := range fields {
 		name := fi.obj.Name()
-		if !missingFn {
-			if !capRefs[fi.obj] {
+		for _, th := range threads {
+			if !th.refs[fi.obj] {
 				p.report(f, fi.pos, an,
-					fmt.Sprintf("field %s.%s is not referenced in capture function %s", sname, name, captureName),
-					"thread the field through capture and restore, or waive it with //bzlint:allow statecov <reason>")
-			}
-			if !resRefs[fi.obj] {
-				p.report(f, fi.pos, an,
-					fmt.Sprintf("field %s.%s is not referenced in restore function %s", sname, name, restoreName),
+					fmt.Sprintf("field %s.%s is not referenced in %s function %s", sname, name, th.role, th.fn),
 					"thread the field through capture and restore, or waive it with //bzlint:allow statecov <reason>")
 			}
 		}
@@ -160,6 +175,25 @@ func checkStateStruct(p *pass, f *ast.File, ts *ast.TypeSpec, st *ast.StructType
 				"store serializable state and rebuild the live object on restore")
 		}
 	}
+}
+
+// methodDecls returns the declarations among decls that are methods of
+// the named type tn, on a value or a pointer receiver.
+func methodDecls(info *types.Info, decls []*ast.FuncDecl, tn types.Object) []*ast.FuncDecl {
+	var out []*ast.FuncDecl
+	for _, fd := range decls {
+		if fd.Recv == nil || len(fd.Recv.List) == 0 {
+			continue
+		}
+		t := info.TypeOf(fd.Recv.List[0].Type)
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		if n, ok := t.(*types.Named); ok && n.Obj() == tn {
+			out = append(out, fd)
+		}
+	}
+	return out
 }
 
 // collectFieldRefs marks which fields of stype the body references:

@@ -1,12 +1,16 @@
 package trace
 
-import "fmt"
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+)
 
 // Snapshot support: a recorder's contents exported as plain data. Values
-// round-trip bit-exactly (float64 payloads are carried as-is; encoders like
-// gob preserve the bit pattern), so a restored recorder's WriteExact output
-// is byte-identical to the original's — the property the twin round-trip
-// tests pin.
+// round-trip bit-exactly (the series codec below carries each float64's
+// IEEE bits), so a restored recorder's WriteExact output is byte-identical
+// to the original's — the property the twin round-trip tests pin.
 //
 // Samples travel as two pointer-free columns in the recorder's own internal
 // representation, Unix nanoseconds and values, not as []Point: a time.Time
@@ -67,6 +71,138 @@ func exportPoints(nanos []int64, values []float64, k int, pts []point) int {
 		nanos[j], values[j] = p.nanos, p.value
 	}
 	return k + len(pts)
+}
+
+// GobEncode writes the series in a compact form that gob carries as one
+// byte string. In order:
+//
+//   - the name, as a uvarint length and the bytes, and the retention;
+//   - the timestamp count, the first timestamp, and then for each later
+//     one the change in the sampling interval (the difference between
+//     consecutive intervals), all as zigzag varints;
+//   - the value count and each value's IEEE bits, 8 bytes little-endian.
+//
+// A periodic series costs one byte per timestamp, where gob spends nine
+// on each Unix-nanosecond int64. Interval arithmetic wraps in int64 both
+// ways, so irregular and extreme timestamps round-trip exactly too. Both
+// counts travel even when they differ, so malformed state still reaches
+// RestoreState's check.
+func (ss SeriesState) GobEncode() ([]byte, error) {
+	n := len(ss.Nanos)
+	b := make([]byte, 0, len(ss.Name)+n+8*len(ss.Values)+5*binary.MaxVarintLen64)
+	b = binary.AppendUvarint(b, uint64(len(ss.Name)))
+	b = append(b, ss.Name...)
+	b = binary.AppendVarint(b, int64(ss.Retention))
+	b = binary.AppendUvarint(b, uint64(n))
+	if n > 0 {
+		b = binary.AppendVarint(b, ss.Nanos[0])
+	}
+	var step int64
+	for i := 1; i < n; i++ {
+		d := ss.Nanos[i] - ss.Nanos[i-1]
+		b = binary.AppendVarint(b, d-step)
+		step = d
+	}
+	b = binary.AppendUvarint(b, uint64(len(ss.Values)))
+	for _, v := range ss.Values {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b, nil
+}
+
+// GobDecode reads what GobEncode wrote. It checks each count against the
+// bytes left before allocating, since a timestamp takes at least one byte
+// and a value eight, so a short or hostile input is an error and never a
+// huge allocation. Trailing bytes are an error too. Ordering and equal
+// column lengths are left to RestoreState's check.
+func (ss *SeriesState) GobDecode(data []byte) error {
+	r := stateReader{b: data}
+	name := string(r.next(r.count(1)))
+	retention := r.varint()
+	var nanos []int64
+	if n := r.count(1); n > 0 {
+		nanos = make([]int64, n)
+		nanos[0] = r.varint()
+		var step int64
+		for i := 1; i < n; i++ {
+			step += r.varint()
+			nanos[i] = nanos[i-1] + step
+		}
+	}
+	var values []float64
+	if n := r.count(8); n > 0 {
+		raw := r.next(8 * n)
+		values = make([]float64, n)
+		for i := range values {
+			values[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+	}
+	if r.err == nil && len(r.b) > 0 {
+		r.err = fmt.Errorf("%d trailing bytes", len(r.b))
+	}
+	if r.err == nil && int64(int(retention)) != retention {
+		r.err = fmt.Errorf("retention %d overflows int", retention)
+	}
+	if r.err != nil {
+		return fmt.Errorf("trace: decode series %q: %w", name, r.err)
+	}
+	*ss = SeriesState{Name: name, Retention: int(retention), Nanos: nanos, Values: values}
+	return nil
+}
+
+var errTruncated = errors.New("truncated")
+
+// stateReader consumes a GobEncode payload. The first error sticks; after
+// it every read returns zero values.
+type stateReader struct {
+	b   []byte
+	err error
+}
+
+func (r *stateReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, k := binary.Uvarint(r.b)
+	if k <= 0 {
+		r.err = errTruncated
+		return 0
+	}
+	r.b = r.b[k:]
+	return v
+}
+
+func (r *stateReader) varint() int64 {
+	if r.err != nil {
+		return 0
+	}
+	v, k := binary.Varint(r.b)
+	if k <= 0 {
+		r.err = errTruncated
+		return 0
+	}
+	r.b = r.b[k:]
+	return v
+}
+
+// count reads a length whose entries take at least size bytes each, and
+// fails unless that many bytes remain.
+func (r *stateReader) count(size int) int {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.b)/size) {
+		r.err = fmt.Errorf("count %d needs at least %d bytes per entry, %d bytes left", n, size, len(r.b))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// next consumes n bytes, which count has checked are there.
+func (r *stateReader) next(n int) []byte {
+	b := r.b[:n]
+	r.b = r.b[n:]
+	return b
 }
 
 // check reports why the state cannot be restored: columns of unequal

@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -197,4 +199,236 @@ func TestRecorderStateGobWrappedRing(t *testing.T) {
 		}
 		same(fmt.Sprintf("after append %d", i))
 	}
+}
+
+// codecCase is one series the codec must carry bit-exactly.
+type codecCase struct {
+	name string
+	ss   SeriesState
+}
+
+// codecCases are the series shapes the codec's round-trip table and the
+// fuzzer's seed corpus share.
+func codecCases(tb testing.TB) []codecCase {
+	tb.Helper()
+	at := func(offsets ...time.Duration) []int64 {
+		nanos := make([]int64, len(offsets))
+		for i, d := range offsets {
+			nanos[i] = benchT0.Add(d).UnixNano()
+		}
+		return nanos
+	}
+	r := NewRecorder()
+	ring := r.Series("ring")
+	ring.SetRetention(5)
+	for i := 0; i < 13; i++ {
+		if err := ring.Append(benchT0.Add(time.Duration(i)*15*time.Second), float64(i)/3); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if ring.head == 0 {
+		tb.Fatal("ring has not wrapped; the case needs head != 0")
+	}
+	return []codecCase{
+		{"empty", SeriesState{Name: "empty", Retention: 4}},
+		{"one sample", SeriesState{Name: "one", Nanos: at(0), Values: []float64{21.5}}},
+		{"wrapped ring", r.ExportState().Series[0]},
+		{"irregular strides", SeriesState{Name: "irregular",
+			Nanos:  at(0, time.Second, 3*time.Second, 3500*time.Millisecond, 10*time.Second, 10*time.Second+1, time.Hour),
+			Values: []float64{1, 2, 3, 4, 5, 6, 7}}},
+		{"equal timestamps", SeriesState{Name: "equal",
+			Nanos:  at(0, 0, 0, time.Second, time.Second),
+			Values: []float64{1, 1, 2, 3, 5}}},
+		{"extreme timestamps", SeriesState{Name: "extreme",
+			Nanos:  []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, math.MaxInt64 - 1, math.MaxInt64},
+			Values: []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6}}},
+		{"special floats", SeriesState{Name: "special",
+			Nanos: at(0, 15*time.Second, 30*time.Second, 45*time.Second, 60*time.Second, 75*time.Second),
+			Values: []float64{math.Float64frombits(0x7ff8000000000001), math.Inf(1), math.Inf(-1),
+				math.Copysign(0, -1), math.Float64frombits(0xfff00000000abcde), 0}}},
+	}
+}
+
+// sameSeries reports whether two series states are identical, values
+// compared by their IEEE bits.
+func sameSeries(a, b SeriesState) bool {
+	if a.Name != b.Name || a.Retention != b.Retention || len(a.Nanos) != len(b.Nanos) || len(a.Values) != len(b.Values) {
+		return false
+	}
+	for i := range a.Nanos {
+		if a.Nanos[i] != b.Nanos[i] {
+			return false
+		}
+	}
+	for i := range a.Values {
+		if math.Float64bits(a.Values[i]) != math.Float64bits(b.Values[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// The series codec carries every case through gob bit-exactly, alone and
+// all together in one recorder, and a recorder restored from the decoded
+// state writes the same WriteExact bytes as one restored from the
+// original.
+func TestRecorderStateGobCodecRoundTrip(t *testing.T) {
+	cases := codecCases(t)
+	var all RecorderState
+	for _, c := range cases {
+		all.Series = append(all.Series, c.ss)
+	}
+	type row struct {
+		name string
+		st   RecorderState
+	}
+	rows := []row{{"all series", all}}
+	for _, c := range cases {
+		rows = append(rows, row{c.name, RecorderState{Series: []SeriesState{c.ss}}})
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(row.st); err != nil {
+				t.Fatal(err)
+			}
+			var back RecorderState
+			if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
+				t.Fatal(err)
+			}
+			if len(back.Series) != len(row.st.Series) {
+				t.Fatalf("decoded %d series, want %d", len(back.Series), len(row.st.Series))
+			}
+			for i := range row.st.Series {
+				if !sameSeries(row.st.Series[i], back.Series[i]) {
+					t.Fatalf("series %d: decoded %+v, want %+v", i, back.Series[i], row.st.Series[i])
+				}
+			}
+			orig, restored := NewRecorder(), NewRecorder()
+			if err := orig.RestoreState(row.st); err != nil {
+				t.Fatal(err)
+			}
+			if err := restored.RestoreState(back); err != nil {
+				t.Fatal(err)
+			}
+			var want, got strings.Builder
+			if err := orig.WriteExact(&want); err != nil {
+				t.Fatal(err)
+			}
+			if err := restored.WriteExact(&got); err != nil {
+				t.Fatal(err)
+			}
+			if want.String() != got.String() {
+				t.Fatalf("WriteExact differs:\n%s\nvs\n%s", want.String(), got.String())
+			}
+		})
+	}
+}
+
+// A full 960-sample ring sampled every 15 s from the twin's start instant,
+// the shape of every series in a benchmark twin, costs at most 9 bytes a
+// sample plus 64 in a gob stream: about one byte per timestamp and eight
+// per value. Gob alone spends nine on each such timestamp.
+func TestSeriesStateGobSize(t *testing.T) {
+	const n = 960
+	ss := SeriesState{Name: "zone0.t", Retention: n, Nanos: make([]int64, n), Values: make([]float64, n)}
+	for i := range ss.Nanos {
+		ss.Nanos[i] = benchT0.Add(time.Duration(i) * 15 * time.Second).UnixNano()
+		ss.Values[i] = 24 + math.Sin(float64(i)/40)
+	}
+	st := RecorderState{Series: []SeriesState{ss}}
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	// The first message also carries gob's type definitions; size the second.
+	if err := enc.Encode(st); err != nil {
+		t.Fatal(err)
+	}
+	before := buf.Len()
+	if err := enc.Encode(st); err != nil {
+		t.Fatal(err)
+	}
+	if size, limit := buf.Len()-before, 9*n+64; size > limit {
+		t.Fatalf("%d samples encode in %d bytes (%.2f per sample), want at most %d", n, size, float64(size)/n, limit)
+	}
+}
+
+// Every strict prefix of an encoding, and the encoding with a byte
+// appended, is an error, not a panic or a shorter series.
+func TestSeriesStateGobDecodeRejectsTruncatedAndTrailing(t *testing.T) {
+	for _, c := range codecCases(t) {
+		data, err := c.ss.GobEncode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(data); i++ {
+			var ss SeriesState
+			if err := ss.GobDecode(data[:i]); err == nil {
+				t.Fatalf("%s: %d of %d bytes decoded to %+v", c.name, i, len(data), ss)
+			}
+		}
+		var ss SeriesState
+		if err := ss.GobDecode(append(data, 0)); err == nil || !strings.Contains(err.Error(), "trailing") {
+			t.Fatalf("%s: trailing byte: err = %v", c.name, err)
+		}
+	}
+}
+
+// A 16-byte input that claims 2^40 timestamps or values is an error, and
+// no column is allocated: the call allocates under 1 MiB in all, and a
+// column that size could not be allocated at all.
+func TestSeriesStateGobDecodeHugeCount(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<40)
+	for _, tc := range []struct {
+		name string
+		head []byte
+	}{
+		{"timestamps", append([]byte{0, 0}, huge...)}, // empty name, retention 0, 2^40 timestamps
+		{"values", append([]byte{0, 0, 0}, huge...)},  // no timestamps, 2^40 values
+	} {
+		data := append(tc.head, make([]byte, 16-len(tc.head))...)
+		var ss SeriesState
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := ss.GobDecode(data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: decoded %x", tc.name, data)
+		}
+		if ss.Nanos != nil || ss.Values != nil {
+			t.Fatalf("%s: failed decode left columns of %d and %d", tc.name, len(ss.Nanos), len(ss.Values))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("%s: decode allocated %d bytes", tc.name, grew)
+		}
+	}
+}
+
+// FuzzSeriesStateGobDecode feeds the series decoder arbitrary bytes. It
+// must never panic, and whatever it accepts must survive another encode
+// and decode unchanged.
+func FuzzSeriesStateGobDecode(f *testing.F) {
+	for _, c := range codecCases(f) {
+		data, err := c.ss.GobEncode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ss SeriesState
+		if err := ss.GobDecode(data); err != nil {
+			return
+		}
+		again, err := ss.GobEncode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back SeriesState
+		if err := back.GobDecode(again); err != nil {
+			t.Fatalf("re-decode of %x: %v", again, err)
+		}
+		if !sameSeries(ss, back) {
+			t.Fatalf("round trip changed %+v into %+v", ss, back)
+		}
+	})
 }

@@ -223,7 +223,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := t.RunTicks(req.Ticks); err != nil {
-		writeError(w, http.StatusConflict, err)
+		status := http.StatusConflict // the runner has failed
+		if errors.Is(err, errBacklogOverflow) {
+			status = http.StatusBadRequest
+		}
+		writeError(w, status, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, t.Status())

@@ -5,15 +5,17 @@ import (
 	"fmt"
 	"io"
 
+	"bubblezero/internal/core"
 	"bubblezero/internal/fleet"
 )
 
 // SnapshotVersion is the wire-format version WriteSnapshot stamps and
 // ReadSnapshot enforces. Bump it on any incompatible change to the
-// snapshot graph (fleet.State and everything it embeds); a version
-// mismatch is a hard error, never a silent partial decode. Version 2
-// carries trace samples as Nanos/Values columns (trace.SeriesState).
-const SnapshotVersion = 2
+// snapshot graph (fleet.State and everything it embeds) or to the stream
+// layout; a version mismatch is a hard error, never a silent partial
+// decode. Version 3 streams one message per building after a header, and
+// trace series travel in their own compact codec (trace.SeriesState).
+const SnapshotVersion = 3
 
 // Snapshot is a twin checkpoint: the config the fleet was built from —
 // config expansion and fleet construction are deterministic, so the
@@ -21,10 +23,11 @@ const SnapshotVersion = 2
 // mutable state, event journal included.
 //
 // The encoding is gob: float64 payloads round-trip bit-exactly (gob
-// transmits the IEEE bits, NaN included), which is what makes a restored
-// twin's remaining run bit-identical to an uninterrupted one rather than
-// merely close. A snapshot taken at tick T never re-pins a golden epoch:
-// the restored run continues the original sample streams.
+// transmits the IEEE bits, NaN included, and so does the trace series
+// codec), which is what makes a restored twin's remaining run
+// bit-identical to an uninterrupted one rather than merely close. A
+// snapshot taken at tick T never re-pins a golden epoch: the restored run
+// continues the original sample streams.
 //
 //bzlint:state Snapshot RestoreTwin
 type Snapshot struct {
@@ -34,23 +37,57 @@ type Snapshot struct {
 	State   fleet.State
 }
 
-// WriteSnapshot gob-encodes the snapshot, stamping the current version.
+// WriteSnapshot stamps the current version and writes the snapshot as a
+// stream of gob messages on one encoder: a header (the Snapshot with its
+// buildings left out), then each building's state in order. Gob's
+// buffer holds one message at a time, so it stays about one building
+// long, and a reader can decode the first buildings while later ones are
+// still being encoded.
 func WriteSnapshot(w io.Writer, s *Snapshot) error {
+	if n := len(s.State.Buildings); n != s.Config.Buildings {
+		return fmt.Errorf("twin: encode snapshot: %d buildings in the state, %d in the config", n, s.Config.Buildings)
+	}
 	s.Version = SnapshotVersion
-	if err := gob.NewEncoder(w).Encode(s); err != nil {
+	head := *s
+	head.State.Buildings = nil
+	enc := gob.NewEncoder(w)
+	if err := enc.Encode(&head); err != nil {
 		return fmt.Errorf("twin: encode snapshot: %w", err)
+	}
+	for i := range s.State.Buildings {
+		if err := enc.Encode(&s.State.Buildings[i]); err != nil {
+			return fmt.Errorf("twin: encode snapshot building %d: %w", i, err)
+		}
 	}
 	return nil
 }
 
-// ReadSnapshot decodes one snapshot and verifies its version.
+// ReadSnapshot decodes a WriteSnapshot stream. It checks the header's
+// version before reading anything else, then reads exactly the
+// Config.Buildings building messages the header announces. The count is
+// untrusted, so nothing is allocated from it: each building is decoded,
+// then appended, and a short stream fails at the first missing one.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
+	dec := gob.NewDecoder(r)
 	var s Snapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
+	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("twin: decode snapshot: %w", err)
 	}
 	if s.Version != SnapshotVersion {
 		return nil, fmt.Errorf("twin: snapshot version %d, this build reads %d", s.Version, SnapshotVersion)
+	}
+	if n := len(s.State.Buildings); n != 0 {
+		return nil, fmt.Errorf("twin: decode snapshot: header carries %d buildings", n)
+	}
+	if s.Config.Buildings < 0 {
+		return nil, fmt.Errorf("twin: decode snapshot: negative building count %d", s.Config.Buildings)
+	}
+	for i := 0; i < s.Config.Buildings; i++ {
+		var b core.SystemState
+		if err := dec.Decode(&b); err != nil {
+			return nil, fmt.Errorf("twin: decode snapshot building %d of %d: %w", i, s.Config.Buildings, err)
+		}
+		s.State.Buildings = append(s.State.Buildings, b)
 	}
 	return &s, nil
 }

@@ -15,7 +15,9 @@ package twin
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -149,14 +151,21 @@ func (t *Twin) Config() Config { return t.cfg }
 // seconds since it.
 func (t *Twin) Start() time.Time { return t.start }
 
+// errBacklogOverflow rejects a run whose ticks the backlog cannot count.
+var errBacklogOverflow = errors.New("twin: run backlog would overflow")
+
 // RunTicks queues n more ticks for the background runner. It returns the
 // runner's terminal error, if one has occurred: a failed twin stays
-// readable but will not advance further.
+// readable but will not advance further. A request that would overflow
+// the backlog is refused, and the backlog stays as it was.
 func (t *Twin) RunTicks(n uint64) error {
 	t.runMu.Lock()
 	defer t.runMu.Unlock()
 	if t.runErr != nil {
 		return t.runErr
+	}
+	if n > math.MaxUint64-t.pending {
+		return fmt.Errorf("%w: %d ticks pending, %d more requested", errBacklogOverflow, t.pending, n)
 	}
 	t.pending += n
 	select {

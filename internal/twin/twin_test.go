@@ -704,3 +704,166 @@ func TestTwinReadersWhileRunning(t *testing.T) {
 		t.Fatal("Close did not stop a busy runner")
 	}
 }
+
+// snapshotStream gob-encodes head and then each building on one encoder,
+// the layout WriteSnapshot writes, so a test can cut or bend the stream.
+func snapshotStream(t *testing.T, head Snapshot, buildings []core.SystemState) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode(&head); err != nil {
+		t.Fatalf("encode header: %v", err)
+	}
+	for i := range buildings {
+		if err := enc.Encode(&buildings[i]); err != nil {
+			t.Fatalf("encode building %d: %v", i, err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// v2Snapshot mirrors the version-2 wire graph down to the trace series,
+// which a v2 build sent as plain structs (v2Series); gob matches struct
+// fields by name, not by type name.
+type v2Snapshot struct {
+	Version int
+	State   struct{ Buildings []v2Building }
+}
+
+type v2Building struct{ Recorder struct{ Series []v2Series } }
+
+type v2Series struct {
+	Name   string
+	Nanos  []int64
+	Values []float64
+}
+
+// TestReadSnapshotRejectsBadStreams pins the stream's rejections: a stream
+// cut after the header or one building short, a header that carries
+// buildings or a negative building count, and the version-2 layout (one
+// message) fail in ReadSnapshot, and POST /twins/restore answers them with
+// 400 and registers no twin. WriteSnapshot refuses to write a stream whose
+// building count would not match its header.
+func TestReadSnapshotRejectsBadStreams(t *testing.T) {
+	src, err := NewTwin(context.Background(), testConfig())
+	if err != nil {
+		t.Fatalf("NewTwin: %v", err)
+	}
+	defer src.Close()
+	snap, err := src.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	var written bytes.Buffer
+	if err := WriteSnapshot(&written, snap); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	buildings := snap.State.Buildings
+	n := len(buildings)
+	head := *snap
+	head.State.Buildings = nil
+	if got := snapshotStream(t, head, buildings); !bytes.Equal(got, written.Bytes()) {
+		t.Fatal("snapshotStream does not reproduce WriteSnapshot's bytes")
+	}
+	if _, err := ReadSnapshot(bytes.NewReader(written.Bytes())); err != nil {
+		t.Fatalf("ReadSnapshot of the intact stream: %v", err)
+	}
+	short := *snap
+	short.State.Buildings = buildings[:n-1]
+	if err := WriteSnapshot(io.Discard, &short); err == nil || !strings.Contains(err.Error(), "buildings") {
+		t.Fatalf("WriteSnapshot of %d buildings for a %d-building config: err = %v", n-1, n, err)
+	}
+
+	withBuildings := head
+	withBuildings.State.Buildings = buildings
+	negative := head
+	negative.Config.Buildings = -1
+	v2 := *snap
+	v2.Version = 2
+	var v2Body, v2Wire bytes.Buffer
+	if err := gob.NewEncoder(&v2Body).Encode(&v2); err != nil {
+		t.Fatalf("encode v2 layout: %v", err)
+	}
+	old := v2Snapshot{Version: 2}
+	old.State.Buildings = make([]v2Building, 1)
+	old.State.Buildings[0].Recorder.Series = []v2Series{{"zone0.t", []int64{1, 2}, []float64{20, 21}}}
+	if err := gob.NewEncoder(&v2Wire).Encode(&old); err != nil {
+		t.Fatalf("encode v2 wire types: %v", err)
+	}
+
+	srv := NewServer()
+	defer srv.Close()
+	h := srv.Handler()
+	for _, tc := range []struct {
+		name, want string
+		body       []byte
+	}{
+		{"cut after the header", fmt.Sprintf("building 0 of %d", n), snapshotStream(t, head, nil)},
+		{"cut one building short", fmt.Sprintf("building %d of %d", n-1, n), snapshotStream(t, head, buildings[:n-1])},
+		{"header carries buildings", fmt.Sprintf("header carries %d buildings", n), snapshotStream(t, withBuildings, buildings)},
+		{"negative building count", "negative building count", snapshotStream(t, negative, nil)},
+		{"version 2 layout", "version 2", v2Body.Bytes()},
+		// A v2 build's series are plain structs, so gob refuses the body
+		// before its version can be read.
+		{"version 2 wire types", "SeriesState", v2Wire.Bytes()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := ReadSnapshot(bytes.NewReader(tc.body)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ReadSnapshot: err = %v, want it to mention %q", err, tc.want)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/twins/restore", bytes.NewReader(tc.body)))
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), tc.want) {
+				t.Fatalf("POST restore: status %d: %s; want 400 mentioning %q", rec.Code, rec.Body, tc.want)
+			}
+			if ids := srv.reg.ids(); len(ids) != 0 {
+				t.Fatalf("rejected restore registered twins %v", ids)
+			}
+		})
+	}
+}
+
+// TestRunBacklogOverflowRejected pins that a run request the backlog cannot
+// count is a 400 that leaves the backlog as it was. The test holds the
+// fleet lock, so the runner cannot finish a chunk and shrink the backlog
+// while it looks.
+func TestRunBacklogOverflowRejected(t *testing.T) {
+	srv := NewServer()
+	defer srv.Close()
+	h := srv.Handler()
+	tw, err := NewTwin(context.Background(), testConfig())
+	if err != nil {
+		t.Fatalf("NewTwin: %v", err)
+	}
+	id := srv.reg.add(tw)
+	serve := func(method, target, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+		return rec
+	}
+
+	tw.mu.Lock()
+	locked := true
+	defer func() {
+		if locked {
+			tw.mu.Unlock()
+		}
+	}()
+	if rec := serve(http.MethodPost, "/twins/"+id+"/run", `{"ticks": 18446744073709551615}`); rec.Code != http.StatusAccepted {
+		t.Fatalf("first run: status %d: %s", rec.Code, rec.Body)
+	}
+	if rec := serve(http.MethodPost, "/twins/"+id+"/run", `{"ticks": 2}`); rec.Code != http.StatusBadRequest ||
+		!strings.Contains(rec.Body.String(), "overflow") {
+		t.Fatalf("overflowing run: status %d: %s; want 400 naming the overflow", rec.Code, rec.Body)
+	}
+	rec := serve(http.MethodGet, "/twins/"+id, "")
+	var st statusResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("status: %d %s: %v", rec.Code, rec.Body, err)
+	}
+	if st.Pending != math.MaxUint64 || st.Err != "" {
+		t.Fatalf("status = %+v, want pending %d and no error", st.Status, uint64(math.MaxUint64))
+	}
+	tw.mu.Unlock()
+	locked = false
+}
