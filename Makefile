@@ -34,10 +34,11 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 
-# Static invariants: the seven bzlint analyzers (determinism, hotpath,
-# floateq, deprecated, statecov, lockcheck, mutroute) plus the
-# stale-waiver report over the whole tree (DESIGN.md §7). Exit 1 on any
-# unwaived diagnostic.
+# Static invariants: the eight bzlint analyzers (determinism, hotpath,
+# floateq, deprecated, statecov, lockcheck, mutroute, testonly) plus the
+# stale-waiver report over the whole tree (DESIGN.md §7). testonly needs
+# the whole module's references, so it runs only on ./... as here. Exit 1
+# on any unwaived diagnostic.
 lint:
 	$(GO) run ./cmd/bzlint ./...
 
@@ -111,12 +112,15 @@ bench-http-json:
 	$(GO) test -bench HTTPQuery -benchmem -benchtime 2000x -count 6 -run '^$$' ./internal/twin \
 		| tee /dev/stderr | sh scripts/bench_json.sh > BENCH_http.json
 
-# Ten seconds of coverage-guided fuzzing of the trace series decoder, the
-# first decoder a twin restore feeds untrusted bytes. The checked-in
-# corpus (internal/trace/testdata/fuzz) runs first; a failure found here
-# lands there as a new regression input.
+# Ten seconds each of coverage-guided fuzzing of two untrusted inputs: the
+# trace series decoder, the first decoder a twin restore feeds, and the
+# twin query's from_s/to_s/step_s window parser. `go test` fuzzes one
+# target per invocation. Each checked-in corpus (testdata/fuzz beside the
+# target) runs first; a failure found here lands there as a new
+# regression input.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSeriesStateGobDecode$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzParseWindow$$' -fuzztime 10s ./internal/twin
 
 # Regression gate: fail when a guarded rate (BenchmarkSystemTick ticks/s,
 # BenchmarkFleetTick/N1000xS8 building-ticks/s) falls more than

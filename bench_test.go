@@ -3,7 +3,6 @@ package bubblezero_test
 import (
 	"context"
 	"io"
-	"math/rand/v2"
 	"runtime"
 	"testing"
 	"time"
@@ -11,7 +10,6 @@ import (
 	"bubblezero/internal/adaptive"
 	"bubblezero/internal/exergy"
 	"bubblezero/internal/experiments"
-	"bubblezero/internal/multihop"
 	"bubblezero/internal/psychro"
 	"bubblezero/internal/report"
 )
@@ -206,32 +204,6 @@ func BenchmarkChillerCOP(b *testing.B) {
 	c := exergy.DefaultChiller()
 	for i := 0; i < b.N; i++ {
 		_ = c.COP(18, 28.9+float64(i%5)/10)
-	}
-}
-
-// BenchmarkMultihopWing measures the building-level future-work extension:
-// flood versus type-mesh routing on the three-floor reference wing.
-func BenchmarkMultihopWing(b *testing.B) {
-	for _, routing := range []multihop.Routing{multihop.RoutingFlood, multihop.RoutingMesh} {
-		b.Run(routing.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := multihop.DefaultConfig()
-				cfg.Routing = routing
-				cfg.TTL = 12
-				wing := multihop.DefaultWing()
-				net, err := multihop.BuildWing(cfg, wing, rand.New(rand.NewPCG(uint64(i+1), 1)))
-				if err != nil {
-					b.Fatal(err)
-				}
-				st, err := multihop.RunWingWorkload(net, wing, 20)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(st.DeliveryRatio()*100, "delivery-pct")
-				b.ReportMetric(st.TxPerDelivery(), "tx-per-delivery")
-				b.ReportMetric(st.AvgHops(), "avg-hops")
-			}
-		})
 	}
 }
 

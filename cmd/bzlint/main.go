@@ -6,9 +6,11 @@
 //	go run ./cmd/bzlint -hints ./internal/... # with suggested rewrites
 //	go run ./cmd/bzlint -json ./...           # machine-readable diagnostics
 //
-// The suite is seven analyzers: determinism, hotpath, floateq,
-// deprecated, statecov, lockcheck, and mutroute, plus the stale-waiver
-// report (-staleallow, on by default). When the CI environment variable
+// The suite is eight analyzers: determinism, hotpath, floateq,
+// deprecated, statecov, lockcheck, mutroute and testonly, plus the
+// stale-waiver report (-staleallow, on by default). testonly needs every
+// reference in the module, so it runs only when a pattern is ./...; a
+// narrower run skips it and its waivers. When the CI environment variable
 // is set, diagnostics are also emitted as GitHub Actions
 // ::error annotations so findings surface inline on the PR diff.
 //
@@ -38,6 +40,18 @@ type jsonDiag struct {
 	Hint     string `json:"hint,omitempty"`
 }
 
+// wholeModule reports whether the patterns load the whole module, the
+// only run whose reference set lets testonly tell a test-only identifier
+// from one that a package outside the run uses.
+func wholeModule(patterns []string) bool {
+	for _, p := range patterns {
+		if p == "./..." || p == "..." {
+			return true
+		}
+	}
+	return false
+}
+
 func main() {
 	hints := flag.Bool("hints", false, "print a suggested rewrite under each diagnostic (make lint-fix-hints)")
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array instead of text")
@@ -64,6 +78,7 @@ func main() {
 	}
 	cfg := lint.DefaultConfig()
 	cfg.StaleAllow = *staleAllow
+	cfg.TestOnly = wholeModule(patterns)
 	diags := lint.Run(loader.Fset, pkgs, cfg)
 
 	ci := os.Getenv("CI") != ""

@@ -4,6 +4,7 @@
 //
 //	experiments -fig 10 -csv fig10.csv
 //	experiments -fig all -hours 5
+//	experiments -fig histreset -hours 2
 //	experiments -fig all -parallel 4 -cpuprofile cpu.out
 //
 // Independent experiments fan out across a bounded worker pool (-parallel
@@ -40,7 +41,7 @@ func main() {
 
 func run() error {
 	var (
-		fig        = flag.String("fig", "all", "figure to regenerate: 10, 11, 12, 13, 14, 15, resilience, lifetime, exergy, ablations, fleet, all (fleet only when named: its summary reports host-dependent wall-clock and heap measurements)")
+		fig        = flag.String("fig", "all", "figure to regenerate: 10, 11, 12, 13, 14, 15, resilience, lifetime, exergy, ablations, histreset, fleet, all (fleet only when named: its summary reports host-dependent wall-clock and heap measurements; histreset only when named, so that all keeps its output)")
 		buildings  = flag.Int("buildings", 100, "fleet size for -fig fleet")
 		shards     = flag.Int("shards", 0, "fleet shard count for -fig fleet (0 = NumCPU)")
 		seed       = flag.Uint64("seed", 1, "simulation seed")
@@ -228,6 +229,15 @@ func run() error {
 				ds.WithDesync.Collided, ds.WithDesync.DeliveryRate(),
 				ds.WithoutDesync.Collided, ds.WithoutDesync.DeliveryRate()), nil
 		}},
+		{"histreset", func(ctx context.Context) (string, error) {
+			const every = 40 * time.Minute
+			r, err := suite.AblationHistogramReset(ctx, *seed, d, every)
+			if err != nil {
+				return "", err
+			}
+			return fmt.Sprintf("Ablation: histogram reset every %v over %v: accuracy %.1f%% with reset, %.1f%% without\n",
+				every, d, r.WithResetPct, r.WithoutResetPct), nil
+		}},
 	}
 
 	// Workers take jobs in the report's submission order, not the printed
@@ -256,8 +266,9 @@ func run() error {
 		// The fleet section reports wall-clock throughput and measured
 		// live-heap bytes — host-dependent numbers that would break the
 		// byte-identical -fig all diff across -parallel widths — so it
-		// only runs when named explicitly.
-		if all && s.name == "fleet" {
+		// only runs when named explicitly. histreset runs only when named
+		// too, so that -fig all keeps its bytes.
+		if all && (s.name == "fleet" || s.name == "histreset") {
 			continue
 		}
 		jobs = append(jobs, func(ctx context.Context) error {

@@ -72,18 +72,6 @@ func (e *ExactClusterer) Add(v float64) {
 	e.values = append(e.values, v)
 }
 
-// Total returns the number of stored values.
-func (e *ExactClusterer) Total() int { return len(e.values) }
-
-// Reset discards the history: the values, the recorded answers and the
-// seed, which described the discarded stream.
-func (e *ExactClusterer) Reset() {
-	e.values = e.values[:0]
-	e.sorted = e.sorted[:0]
-	e.answers = nil
-	e.seed, e.next = nil, 0
-}
-
 // Seed hands the clusterer the records of an earlier pass over the same
 // stream of values, in increasing N (another clusterer's ExactThresholds).
 // Threshold then answers a log length found there from the record
@@ -95,7 +83,7 @@ func (e *ExactClusterer) Seed(records []ExactThreshold) {
 
 // ExactThresholds returns every answer Threshold has given for a log of
 // two or more values, in increasing log length. The clusterer only
-// appends to the list, and Reset starts a new one, so the returned slice
+// appends to the list, so the returned slice
 // never changes.
 func (e *ExactClusterer) ExactThresholds() []ExactThreshold {
 	return slices.Clip(e.answers)

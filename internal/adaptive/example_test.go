@@ -45,7 +45,7 @@ func ExampleScheduler() {
 	for i := 0; i < 400; i++ {
 		s.OnSample(25.0) // perfectly stable room
 	}
-	fmt.Printf("stable: w=%d, Tsnd=%.0fs\n", s.W(), s.TsndS())
+	fmt.Printf("stable: w=%.0f, Tsnd=%.0fs\n", s.TsndS()/s.Config().TsplS, s.TsndS())
 	// Output:
 	// stable: w=32, Tsnd=64s
 }

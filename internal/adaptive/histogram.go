@@ -45,12 +45,6 @@ func NewHistogram(n int) (*Histogram, error) {
 	return &Histogram{n: n, counts: make([]uint32, n), scratch: make([]uint32, n)}, nil
 }
 
-// N returns the slot count.
-func (h *Histogram) N() int { return h.n }
-
-// Total returns the number of recorded variance values.
-func (h *Histogram) Total() int { return h.total }
-
 // Range returns the observed [varMin, varMax] and whether any range
 // exists yet (requires at least two distinct values).
 func (h *Histogram) Range() (varMin, varMax float64, ok bool) {

@@ -179,12 +179,6 @@ func (s *Scheduler) Config() Config { return s.cfg }
 // TsndS returns the current transmission period in seconds.
 func (s *Scheduler) TsndS() float64 { return float64(s.w) * s.cfg.TsplS }
 
-// W returns the current period multiplier.
-func (s *Scheduler) W() int { return s.w }
-
-// Lambda returns the current threshold and whether one has been learned.
-func (s *Scheduler) Lambda() (float64, bool) { return s.lambda, s.lambdaOK }
-
 // Histogram exposes the underlying histogram (for RAM accounting and the
 // periodic reset policy).
 func (s *Scheduler) Histogram() *Histogram { return s.hist }

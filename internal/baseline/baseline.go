@@ -115,15 +115,6 @@ func New(cfg Config, room *thermal.Room) (*Unit, error) {
 // Name implements sim.Component.
 func (u *Unit) Name() string { return "baseline.aircon" }
 
-// Flow returns the current supply flow in m³/s.
-func (u *Unit) Flow() float64 { return u.flow }
-
-// CoilLoadW returns the last step's coil thermal load.
-func (u *Unit) CoilLoadW() float64 { return u.coilLoad }
-
-// PowerW returns the last step's electrical draw.
-func (u *Unit) PowerW() float64 { return u.elec }
-
 // COP returns the accumulated coefficient-of-performance measurement.
 func (u *Unit) COP() energy.COP { return u.cop }
 

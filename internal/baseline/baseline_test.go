@@ -67,7 +67,7 @@ func TestAirConReachesSetpoint(t *testing.T) {
 	if dew := room.AverageDewPoint(); dew > 19 {
 		t.Errorf("room dew %v, want strong dehumidification", dew)
 	}
-	if unit.Flow() <= 0 {
+	if unit.flow <= 0 {
 		t.Error("unit idle at steady state despite envelope load")
 	}
 }
@@ -91,7 +91,7 @@ func TestAirConCOPNearPaperValue(t *testing.T) {
 
 func TestAirConIdleWhenRoomCold(t *testing.T) {
 	cfg := thermal.DefaultConfig()
-	room, err := thermal.NewRoom(cfg, psychro.NewState(21, 40, 0), 450)
+	room, err := thermal.NewRoom(cfg, psychro.State{T: 21, W: psychro.HumidityRatio(21, 40, psychro.AtmPressure), P: psychro.AtmPressure}, 450)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +105,11 @@ func TestAirConIdleWhenRoomCold(t *testing.T) {
 	if err := e.RunFor(context.Background(), time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if unit.Flow() > 0.001 {
-		t.Errorf("unit blowing %v m³/s into an already-cold room", unit.Flow())
+	if unit.flow > 0.001 {
+		t.Errorf("unit blowing %v m³/s into an already-cold room", unit.flow)
 	}
-	if unit.PowerW() != 0 {
-		t.Errorf("idle power = %v, want 0", unit.PowerW())
+	if unit.elec != 0 {
+		t.Errorf("idle power = %v, want 0", unit.elec)
 	}
 }
 

@@ -18,12 +18,13 @@ func TestFaultPlanArmsWatchdog(t *testing.T) {
 	if d := plain.Degradation(); d.Armed {
 		t.Error("fault-free system reports an armed watchdog")
 	}
-	armed := newSystem(t, WithFaultPlan(fault.MustPlan(fault.Jam(time.Hour, time.Minute))))
+	plan := fault.MustPlan(fault.Jam(time.Hour, time.Minute))
+	armed := newSystem(t, WithFaultPlan(plan))
 	if d := armed.Degradation(); !d.Armed {
 		t.Error("system with a fault plan did not arm the watchdog")
 	}
-	if armed.FaultPlan() == nil || len(armed.FaultPlan().Events()) != 1 {
-		t.Error("FaultPlan accessor lost the plan")
+	if armed.plan != plan {
+		t.Error("system lost the plan it was armed with")
 	}
 }
 
@@ -118,7 +119,7 @@ func TestBatteryDepletionEntersSafeMode(t *testing.T) {
 	// Panel 1's condensation sentinel battery dies permanently: the
 	// watchdog must put that panel (and only that panel) in safe mode,
 	// and the ceiling must stay dry on the raised margin.
-	plan := fault.MustPlan(fault.BatteryDeplete(40*time.Minute, "bt-paneldew-1"))
+	plan := fault.MustPlan(fault.Event{Kind: fault.KindBatteryDeplete, At: 40 * time.Minute, Node: "bt-paneldew-1"})
 	s := newSystem(t, WithFaultPlan(plan))
 	run(t, s, 50*time.Minute)
 	d := s.Degradation()
@@ -128,7 +129,7 @@ func TestBatteryDepletionEntersSafeMode(t *testing.T) {
 	if d.SafeMode[1] {
 		t.Error("panel 2 in safe mode with a healthy sentinel")
 	}
-	dev := s.Device("bt-paneldew-1")
+	dev := s.deviceByID["bt-paneldew-1"]
 	if !dev.Node().Battery().Depleted() {
 		t.Error("sentinel battery not depleted")
 	}

@@ -41,7 +41,7 @@ func TestPanelDewSensorDeathFailsSafe(t *testing.T) {
 	s := newSystem(t)
 	run(t, s, 40*time.Minute)
 	for _, id := range []string{"bt-paneldew-1", "bt-paneldew-2"} {
-		dev := s.Device(wsn.NodeID(id))
+		dev := s.deviceByID[wsn.NodeID(id)]
 		if dev == nil {
 			t.Fatalf("device %s missing", id)
 		}

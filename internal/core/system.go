@@ -251,10 +251,6 @@ func assemble(cfg *Config, o *sysOpts) (*System, error) {
 	return s, nil
 }
 
-// FaultPlan returns the fault plan the system was armed with (nil when
-// running fault-free).
-func (s *System) FaultPlan() *fault.Plan { return s.plan }
-
 // ApplyFaults schedules the plan's events on the engine timeline with
 // offsets relative to base — the live-injection entry point. For
 // construction-time plans use WithFaultPlan instead, which also arms the
@@ -285,20 +281,11 @@ func (s *System) Vent() *vent.Module { return s.ventMod }
 // RadiantTank returns the 18 °C tank.
 func (s *System) RadiantTank() *hydraulic.Tank { return s.radiantTank }
 
-// VentTank returns the 8 °C tank.
-func (s *System) VentTank() *hydraulic.Tank { return s.ventTank }
-
 // Devices returns all battery sensor devices (for per-device hooks).
 func (s *System) Devices() []*wsn.SensorDevice {
 	out := make([]*wsn.SensorDevice, len(s.devices))
 	copy(out, s.devices)
 	return out
-}
-
-// Device returns the sensor device with the given node ID, or nil. The
-// lookup is an O(1) map access over the index built in NewSystem.
-func (s *System) Device(id wsn.NodeID) *wsn.SensorDevice {
-	return s.deviceByID[id]
 }
 
 // Recorder returns the trace recorder.

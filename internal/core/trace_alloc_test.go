@@ -7,8 +7,9 @@ import (
 )
 
 // TestRecordTraceZeroAlloc pins the trace hot path: once the series
-// handles are open and capacity is reserved, recording a tick performs no
-// allocations — no name formatting, no map lookups, no slice growth.
+// handles are open and each series' chunk has room, recording a tick
+// performs no allocations — no name formatting, no map lookups, no slice
+// growth.
 func TestRecordTraceZeroAlloc(t *testing.T) {
 	sys, err := NewSystem(DefaultConfig())
 	if err != nil {
@@ -20,10 +21,10 @@ func TestRecordTraceZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The run opened every series' first 8,192-point chunk; its 40-odd
+	// samples plus the measured calls (and AllocsPerRun's warm-up call)
+	// fit in that chunk, so no append below allocates one.
 	const runs = 1000
-	for _, name := range sys.Recorder().Names() {
-		sys.Recorder().Series(name).Grow(runs + 2) // +warmup call headroom
-	}
 	now := sys.Now()
 	allocs := testing.AllocsPerRun(runs, func() {
 		now = now.Add(time.Second)

@@ -1,43 +1,12 @@
-// Package energy provides the measurement layer the paper instruments with
-// power meters (§V): per-load power/energy integrators, the standard COP
-// metric (removed heat / consumed power), TelosB-class battery accounting
-// for battery-powered motes, and lifetime projection.
+// Package energy provides the paper's energy arithmetic (§V): the
+// standard COP metric (removed heat / consumed power), TelosB-class
+// battery accounting for battery-powered motes, and lifetime projection.
 package energy
 
 import (
 	"fmt"
 	"time"
 )
-
-// Meter integrates the energy of one electrical load, mirroring the
-// power meters installed "at major energy consuming devices, including
-// chillers and pumps".
-type Meter struct {
-	name    string
-	lastW   float64
-	energyJ float64
-}
-
-// NewMeter returns a meter for the named load.
-func NewMeter(name string) *Meter { return &Meter{name: name} }
-
-// Name returns the load name.
-func (m *Meter) Name() string { return m.name }
-
-// Add accumulates w watts over dt seconds.
-func (m *Meter) Add(w, dt float64) {
-	if w < 0 || dt <= 0 {
-		return
-	}
-	m.lastW = w
-	m.energyJ += w * dt
-}
-
-// PowerW returns the most recent instantaneous power.
-func (m *Meter) PowerW() float64 { return m.lastW }
-
-// EnergyJ returns the integrated energy.
-func (m *Meter) EnergyJ() float64 { return m.energyJ }
 
 // COP accumulates removed heat and consumed electrical energy and reports
 // the paper's metric COP = Removed heat / Consumed power.
@@ -163,11 +132,6 @@ func (b *Battery) RemainingJ() float64 { return b.capacityJ - b.usedJ }
 // Depleted reports whether the battery is empty.
 func (b *Battery) Depleted() bool { return b.usedJ >= b.capacityJ }
 
-// FractionRemaining returns the remaining charge fraction in [0, 1].
-func (b *Battery) FractionRemaining() float64 {
-	return b.RemainingJ() / b.capacityJ
-}
-
 // Lifetime projects how long a full battery of this capacity lasts at the
 // given average power draw.
 func (b *Battery) Lifetime(avgPowerW float64) time.Duration {
@@ -175,20 +139,6 @@ func (b *Battery) Lifetime(avgPowerW float64) time.Duration {
 		return time.Duration(1<<63 - 1)
 	}
 	return time.Duration(b.capacityJ / avgPowerW * float64(time.Second))
-}
-
-// MoteAveragePower returns the long-run average power (W) of a duty-cycled
-// bt-device that samples every tsplS seconds and transmits every tsndS
-// seconds.
-func MoteAveragePower(tsplS, tsndS float64) float64 {
-	p := IdlePowerW
-	if tsplS > 0 {
-		p += SampleEnergyJ / tsplS
-	}
-	if tsndS > 0 {
-		p += TxEnergyPerPacketJ / tsndS
-	}
-	return p
 }
 
 // Years renders a duration in years for lifetime reporting.

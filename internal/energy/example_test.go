@@ -19,13 +19,17 @@ func ExampleCOP() {
 	// Bubble-C 4.52, Bubble-V 2.82, BubbleZERO 4.08
 }
 
-// MoteAveragePower folds the TelosB energy profile (54 mW transmit,
-// 0.3 mW sampling) into a battery-lifetime projection — the paper's 0.7 vs
-// 3.2 year comparison.
-func ExampleMoteAveragePower() {
+// Lifetime turns the TelosB energy profile (54 mW transmit, 0.3 mW
+// sampling, the idle draw) into a battery-lifetime projection — the
+// paper's 0.7 vs 3.2 year comparison for a mote sampling every 2 s and
+// sending every 2 s (fixed) or every 48 s (adaptive).
+func ExampleBattery_Lifetime() {
 	b := energy.NewTwoAA()
-	fixed := b.Lifetime(energy.MoteAveragePower(2, 2))
-	adaptive := b.Lifetime(energy.MoteAveragePower(2, 48))
+	avgW := func(tsplS, tsndS float64) float64 {
+		return energy.IdlePowerW + energy.SampleEnergyJ/tsplS + energy.TxEnergyPerPacketJ/tsndS
+	}
+	fixed := b.Lifetime(avgW(2, 2))
+	adaptive := b.Lifetime(avgW(2, 48))
 	fmt.Printf("fixed: %.1f years, adaptive: %.1f years\n",
 		energy.Years(fixed), energy.Years(adaptive))
 	// Output:

@@ -104,30 +104,3 @@ func (c Chiller) Power(q, tSupply, tReject float64) float64 {
 func DefaultChiller() Chiller {
 	return Chiller{Eta: 0.30, EvapApproachK: 4, CondApproachK: 4}
 }
-
-// LiftSweepPoint is one row of a supply-temperature ablation sweep.
-type LiftSweepPoint struct {
-	TSupplyC float64
-	COP      float64
-	// ExergyPerKW is the exergy (W) embedded in moving 1 kW of heat at the
-	// supply temperature against the rejection temperature.
-	ExergyPerKW float64
-}
-
-// LiftSweep evaluates the chiller COP and per-kW exergy across supply
-// temperatures [lo, hi] in the given step, with heat rejection at tReject
-// (°C). It powers the supply-temperature ablation benchmark.
-func LiftSweep(c Chiller, lo, hi, step, tReject float64) []LiftSweepPoint {
-	if step <= 0 || hi < lo {
-		return nil
-	}
-	pts := make([]LiftSweepPoint, 0, int((hi-lo)/step)+1)
-	for t := lo; t <= hi+1e-9; t += step {
-		pts = append(pts, LiftSweepPoint{
-			TSupplyC:    t,
-			COP:         c.COP(t, tReject),
-			ExergyPerKW: OfHeatFlux(1000, t, tReject),
-		})
-	}
-	return pts
-}

@@ -127,28 +127,18 @@ func TestChillerPowerZeroWhenNoLift(t *testing.T) {
 	}
 }
 
+// Sweeping the supply temperature from 8 to 20 °C against the paper's
+// 28.9 °C rejection: the chiller COP must increase and the exergy of
+// moving 1 kW must decrease with every 2 K step.
 func TestLiftSweepShape(t *testing.T) {
-	pts := LiftSweep(DefaultChiller(), 8, 20, 2, 28.9)
-	if len(pts) != 7 {
-		t.Fatalf("len(pts) = %d, want 7", len(pts))
-	}
-	// COP must increase and per-kW exergy must decrease with supply temp.
-	for i := 1; i < len(pts); i++ {
-		if pts[i].COP <= pts[i-1].COP {
-			t.Errorf("COP not increasing at %v°C", pts[i].TSupplyC)
+	c := DefaultChiller()
+	for ts := 10.0; ts <= 20; ts += 2 {
+		if c.COP(ts, 28.9) <= c.COP(ts-2, 28.9) {
+			t.Errorf("COP not increasing at %v°C", ts)
 		}
-		if pts[i].ExergyPerKW >= pts[i-1].ExergyPerKW {
-			t.Errorf("exergy not decreasing at %v°C", pts[i].TSupplyC)
+		if OfHeatFlux(1000, ts, 28.9) >= OfHeatFlux(1000, ts-2, 28.9) {
+			t.Errorf("exergy not decreasing at %v°C", ts)
 		}
-	}
-}
-
-func TestLiftSweepDegenerateInputs(t *testing.T) {
-	if pts := LiftSweep(DefaultChiller(), 8, 20, 0, 28.9); pts != nil {
-		t.Errorf("zero step sweep = %v, want nil", pts)
-	}
-	if pts := LiftSweep(DefaultChiller(), 20, 8, 1, 28.9); pts != nil {
-		t.Errorf("inverted range sweep = %v, want nil", pts)
 	}
 }
 

@@ -130,7 +130,7 @@ func TestNetScenarioStructure(t *testing.T) {
 			t.Errorf("device %s steady drain %.3f J, want > 0", id, d)
 		}
 	}
-	if len(sc.DetectionDelays(2*time.Minute)) == 0 {
+	if Fig14FromScenario(sc).Detected == 0 {
 		t.Error("no events detected by the observing motes")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"bubblezero/internal/adaptive"
@@ -16,15 +15,6 @@ import (
 	"bubblezero/internal/trace"
 	"bubblezero/internal/wsn"
 )
-
-// netScenarioRuns counts actual scenario simulations (not cache hits), so
-// tests can assert the memoization contract: one simulation per
-// (seed, duration) no matter how many figures consume it.
-var netScenarioRuns atomic.Int64
-
-// NetScenarioRunCount returns how many times RunNetScenario has executed
-// in this process. Tests compare deltas around a suite run.
-func NetScenarioRunCount() int64 { return netScenarioRuns.Load() }
 
 // NetScenario is the shared workload behind Figures 12–15: the paper
 // re-launches BubbleZERO for five hours and triggers external events
@@ -81,7 +71,6 @@ func RunNetScenario(ctx context.Context, seed uint64, d time.Duration) (*NetScen
 	if d <= 0 {
 		return nil, fmt.Errorf("experiments: scenario duration must be positive, got %v", d)
 	}
-	netScenarioRuns.Add(1)
 	cfg := core.DefaultConfig()
 	cfg.Seed = seed
 	cfg.TrackExact = true
@@ -314,25 +303,6 @@ func DeviceForEvent(isDoor bool) string {
 		return "bt-hum-1"
 	}
 	return "bt-hum-3"
-}
-
-// DetectionDelays returns, for each event, the delay until the observing
-// humidity mote flagged a transition (Figure 14's detection delay; paper:
-// max 4 s, mean 2.7 s). Events with no detection within the window are
-// skipped.
-func (sc *NetScenario) DetectionDelays(window time.Duration) []time.Duration {
-	var delays []time.Duration
-	for i, ev := range sc.EventTimes {
-		id := DeviceForEvent(sc.DoorEvents[i])
-		for _, tr := range sc.Transitions[id] {
-			if tr.Before(ev) || tr.After(ev.Add(window)) {
-				continue
-			}
-			delays = append(delays, tr.Sub(ev))
-			break
-		}
-	}
-	return delays
 }
 
 // String summarises the scenario.

@@ -30,7 +30,7 @@ const scenarioCacheEntries = 4
 // iterate devices in sorted order.
 type Suite struct {
 	pool      *runner.Pool
-	scenarios *runner.ScenarioCache[*NetScenario]
+	scenarios *runner.Cache[runner.ScenarioKey, *NetScenario]
 	// steady and airCon hold a few floats per trial, so they keep every
 	// key.
 	steady *runner.Cache[steadyKey, steadyTrial]
@@ -48,7 +48,7 @@ type steadyKey struct {
 func NewSuite(workers int) *Suite {
 	return &Suite{
 		pool:      runner.NewPool(workers),
-		scenarios: runner.NewScenarioCache[*NetScenario](scenarioCacheEntries),
+		scenarios: runner.NewCache[runner.ScenarioKey, *NetScenario](scenarioCacheEntries),
 		steady:    runner.NewCache[steadyKey, steadyTrial](0),
 		airCon:    runner.NewCache[uint64, energy.COP](0),
 	}
@@ -61,14 +61,10 @@ func (s *Suite) Pool() *runner.Pool { return s.pool }
 // the simulation at most once per key across all concurrent callers. The
 // scenario is shared: callers must treat it as read-only.
 func (s *Suite) NetScenario(ctx context.Context, seed uint64, d time.Duration) (*NetScenario, error) {
-	return s.scenarios.Get(ctx, seed, d, RunNetScenario)
+	return s.scenarios.Do(ctx, runner.ScenarioKey{Seed: seed, Duration: d}, func(ctx context.Context) (*NetScenario, error) {
+		return RunNetScenario(ctx, seed, d)
+	})
 }
-
-// CachedScenarios returns how many scenarios the suite currently retains.
-func (s *Suite) CachedScenarios() int { return s.scenarios.Len() }
-
-// PurgeScenarios drops every retained scenario, releasing their memory.
-func (s *Suite) PurgeScenarios() { s.scenarios.Purge() }
 
 // steadyTrial returns the memoized steady-state trial at the given radiant
 // supply temperature, running it at most once per (seed, setpointC).

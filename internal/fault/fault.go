@@ -111,11 +111,6 @@ type Event struct {
 	Magnitude float64
 }
 
-// BatteryDeplete returns an event emptying node's battery at offset at.
-func BatteryDeplete(at time.Duration, node string) Event {
-	return Event{Kind: KindBatteryDeplete, At: at, Node: node}
-}
-
 // BatteryScale returns an event rescaling node's remaining charge to
 // frac of its current value at offset at.
 func BatteryScale(at time.Duration, node string, frac float64) Event {
@@ -266,14 +261,6 @@ func MustPlan(events ...Event) *Plan {
 		panic(err)
 	}
 	return p
-}
-
-// Events returns a copy of the planned events.
-func (p *Plan) Events() []Event {
-	if p == nil {
-		return nil
-	}
-	return append([]Event(nil), p.events...)
 }
 
 // Empty reports whether the plan injects nothing.

@@ -15,7 +15,7 @@ func TestEventValidate(t *testing.T) {
 		ev      Event
 		wantErr string // substring; empty means valid
 	}{
-		{"battery deplete", BatteryDeplete(time.Minute, "bt-temp-1"), ""},
+		{"battery deplete", Event{Kind: KindBatteryDeplete, At: time.Minute, Node: "bt-temp-1"}, ""},
 		{"battery scale", BatteryScale(time.Minute, "bt-temp-1", 0.5), ""},
 		{"sensor stuck", SensorStuck(time.Minute, time.Minute, "bt-temp-1"), ""},
 		{"sensor drift", SensorDrift(time.Minute, time.Minute, "bt-temp-1", -0.01), ""},
@@ -198,7 +198,7 @@ func TestApplyInjectsAndClearsOnSchedule(t *testing.T) {
 func TestApplyPermanentFaultNeverClears(t *testing.T) {
 	fs, _, _, tgt := newFakeTarget()
 	p := MustPlan(
-		BatteryDeplete(time.Second, "bt-temp-1"),
+		Event{Kind: KindBatteryDeplete, At: time.Second, Node: "bt-temp-1"},
 		SensorDrift(time.Second, 0, "bt-temp-1", -0.01),
 	)
 	run(t, p, tgt, 10, func(i int) {
@@ -234,7 +234,7 @@ func TestApplyRejectsMissingSurfaces(t *testing.T) {
 		p    *Plan
 		want string
 	}{
-		{"no sensor resolver", MustPlan(BatteryDeplete(0, "x")), "sensor resolver"},
+		{"no sensor resolver", MustPlan(Event{Kind: KindBatteryDeplete, Node: "x"}), "sensor resolver"},
 		{"no network", MustPlan(Jam(0, time.Minute)), "network surface"},
 		{"no plant", MustPlan(ChillerTrip(0, time.Minute, LoopVent)), "plant surface"},
 	} {

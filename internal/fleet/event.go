@@ -78,6 +78,17 @@ type Event struct {
 func (e Event) Validate(buildings int) error {
 	switch e.Kind {
 	case EventClimate:
+		// Out-of-range temperatures reach the Magnus formula unchecked (a
+		// huge one turns every zone NaN), and a dew point above the dry
+		// bulb is supersaturated air. The negated tests also reject NaN.
+		inRange := func(c float64) bool { return c >= psychro.MagnusMinC && c <= psychro.MagnusMaxC }
+		if !inRange(e.TC) || !inRange(e.DewC) {
+			return fmt.Errorf("fleet: climate event dry bulb %v °C and dew point %v °C must lie within [%v, %v] °C",
+				e.TC, e.DewC, psychro.MagnusMinC, psychro.MagnusMaxC)
+		}
+		if e.DewC > e.TC {
+			return fmt.Errorf("fleet: climate event dew point %v °C above dry bulb %v °C", e.DewC, e.TC)
+		}
 		return nil
 	case EventDoor:
 		if e.Building < 0 || e.Building >= buildings {

@@ -92,17 +92,6 @@ func (p *Pump) SetDerate(frac float64) {
 	p.derate, p.derated = frac, true
 }
 
-// Derate returns the delivered-flow fraction (1 when healthy).
-func (p *Pump) Derate() float64 {
-	if !p.derated {
-		return 1
-	}
-	return p.derate
-}
-
-// Voltage returns the current command voltage.
-func (p *Pump) Voltage() float64 { return p.voltage }
-
 // FlowLpm returns the delivered flow in litres/minute.
 func (p *Pump) FlowLpm() float64 {
 	f := p.voltage / 5 * p.MaxFlowLpm
@@ -141,12 +130,10 @@ type Tank struct {
 	// free-rises until the trip clears.
 	tripped bool
 
-	temp         float64
-	loadW        float64 // heat returned by loops this step
-	thermalW     float64 // chiller thermal power last step
-	elecW        float64 // chiller electrical power last step
-	elecEnergyJ  float64 // integrated electrical energy
-	thermEnergyJ float64 // integrated thermal (removed-heat) energy
+	temp     float64
+	loadW    float64 // heat returned by loops this step
+	thermalW float64 // chiller thermal power last step
+	elecW    float64 // chiller electrical power last step
 }
 
 // NewTank returns a tank initialised at its setpoint.
@@ -209,21 +196,10 @@ func (t *Tank) Step(dt, tRoom, tOutdoor float64) {
 	t.elecW = t.Chiller.Power(demand, t.Setpoint, tOutdoor)
 
 	t.temp += (gain - demand) / (mass * CwWater) * dt
-	t.elecEnergyJ += t.elecW * dt
-	t.thermEnergyJ += t.thermalW * dt
 }
 
 // ChillerElectricalW returns the chiller electrical draw from the last step.
 func (t *Tank) ChillerElectricalW() float64 { return t.elecW }
-
-// ChillerThermalW returns the chiller thermal power from the last step.
-func (t *Tank) ChillerThermalW() float64 { return t.thermalW }
-
-// ElectricalEnergyJ returns the integrated chiller electrical energy.
-func (t *Tank) ElectricalEnergyJ() float64 { return t.elecEnergyJ }
-
-// ThermalEnergyJ returns the integrated removed-heat energy.
-func (t *Tank) ThermalEnergyJ() float64 { return t.thermEnergyJ }
 
 // Panel is a ceiling radiant panel fed by mixed water: an
 // effectiveness-NTU heat exchanger between the panel water stream and the
@@ -391,12 +367,6 @@ func (l *MixingLoop) Step(tAir, dt float64) {
 
 // FMix returns the mixed flow (L/min) — the paper's F_mix.
 func (l *MixingLoop) FMix() float64 { return l.fMix }
-
-// TMix returns the mixed water temperature (°C) — the paper's T_mix.
-func (l *MixingLoop) TMix() float64 { return l.tMix }
-
-// TReturn returns the return-pipe water temperature (°C) — T_rcyc.
-func (l *MixingLoop) TReturn() float64 { return l.tRet }
 
 // Result returns the last panel exchange outcome.
 func (l *MixingLoop) Result() PanelResult { return l.last }

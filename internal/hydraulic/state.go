@@ -32,37 +32,31 @@ func (p *Pump) RestoreState(st PumpState) {
 //
 //bzlint:state ExportState RestoreState
 type TankState struct {
-	Tripped      bool
-	Temp         float64
-	LoadW        float64
-	ThermalW     float64
-	ElecW        float64
-	ElecEnergyJ  float64
-	ThermEnergyJ float64
+	Tripped  bool
+	Temp     float64
+	LoadW    float64
+	ThermalW float64
+	ElecW    float64
 }
 
-// ExportState captures the tank's thermal and accounting state.
+// ExportState captures the tank's thermal state.
 func (t *Tank) ExportState() TankState {
 	return TankState{
-		Tripped:      t.tripped,
-		Temp:         t.temp,
-		LoadW:        t.loadW,
-		ThermalW:     t.thermalW,
-		ElecW:        t.elecW,
-		ElecEnergyJ:  t.elecEnergyJ,
-		ThermEnergyJ: t.thermEnergyJ,
+		Tripped:  t.tripped,
+		Temp:     t.temp,
+		LoadW:    t.loadW,
+		ThermalW: t.thermalW,
+		ElecW:    t.elecW,
 	}
 }
 
-// RestoreState overwrites the tank's thermal and accounting state.
+// RestoreState overwrites the tank's thermal state.
 func (t *Tank) RestoreState(st TankState) {
 	t.tripped = st.Tripped
 	t.temp = st.Temp
 	t.loadW = st.LoadW
 	t.thermalW = st.ThermalW
 	t.elecW = st.ElecW
-	t.elecEnergyJ = st.ElecEnergyJ
-	t.thermEnergyJ = st.ThermEnergyJ
 }
 
 // MixingLoopState is a MixingLoop's mutable state, pumps included.

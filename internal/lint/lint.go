@@ -33,26 +33,33 @@ type Config struct {
 	// silence a future finding on that line, or admit a future setter call
 	// nobody audited.
 	StaleAllow bool
+	// TestOnly runs the testonly analyzer, which flags exported
+	// identifiers no non-test file references. Its reference set is
+	// complete only when the run loads the whole module, so a run over
+	// some packages or over lint fixtures leaves it off, and the
+	// stale-waiver report then skips testonly waivers.
+	TestOnly bool
 }
 
 // DefaultConfig is the repository policy: the deterministic set is every
 // package on the seeded replay path (one stray time.Now() or map-order
 // dependence there silently breaks the golden Fig10 SHA), the float
 // comparison rule covers the same set plus psychro, whose exact-key
-// memos are the approved — and annotated — exception, and stale-waiver
-// reporting is on (CI deletes excuses that outlive their code).
+// memos are the approved — and annotated — exception, stale-waiver
+// reporting is on (CI deletes excuses that outlive their code), and so
+// is testonly, for the whole-module run.
 func DefaultConfig() Config {
 	det := map[string]bool{
 		"sim": true, "core": true, "wsn": true, "adaptive": true,
 		"fault": true, "thermal": true, "hydraulic": true,
-		"radiant": true, "vent": true, "multihop": true, "trace": true,
+		"radiant": true, "vent": true, "trace": true,
 		"fleet": true, "twin": true, "experiments": true, "report": true,
 	}
 	feq := map[string]bool{"psychro": true}
 	for k := range det {
 		feq[k] = true
 	}
-	return Config{Deterministic: det, FloatEq: feq, StaleAllow: true}
+	return Config{Deterministic: det, FloatEq: feq, StaleAllow: true, TestOnly: true}
 }
 
 // scopeHas reports whether a Config scope set selects pkg: bare keys
@@ -301,7 +308,9 @@ func (p *pass) report(f *ast.File, pos token.Pos, analyzer, msg, hint string) {
 // runStaleAllow reports waivers that suppressed nothing across the whole
 // run, and mutroute members that called no setter of their route. Runs
 // last: every analyzer must have had its chance to consume them first.
-func runStaleAllow(passes map[*Package]*pass) {
+// Waivers of an analyzer that did not run (testonly, when off) are not
+// stale: they had no chance.
+func runStaleAllow(passes map[*Package]*pass, cfg Config) {
 	for _, p := range passes {
 		for _, d := range p.dirs {
 			for _, od := range d.ordered {
@@ -313,7 +322,7 @@ func runStaleAllow(passes map[*Package]*pass) {
 			}
 			for _, byAn := range d.allow {
 				for an, w := range byAn {
-					if !w.used {
+					if !w.used && (an != "testonly" || cfg.TestOnly) {
 						p.emit(w.pos, "staleallow",
 							fmt.Sprintf("//bzlint:allow %s waiver suppresses no diagnostic", an),
 							"the finding it excused is gone; delete the stale waiver")
@@ -359,8 +368,11 @@ func Run(fset *token.FileSet, pkgs []*Package, cfg Config) []Diagnostic {
 	runStatecov(pkgs, passes)
 	runLockcheck(pkgs, passes)
 	runMutroute(pkgs, passes)
+	if cfg.TestOnly {
+		runTestonly(pkgs, passes)
+	}
 	if cfg.StaleAllow {
-		runStaleAllow(passes)
+		runStaleAllow(passes, cfg)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Pos, out[j].Pos

@@ -161,6 +161,60 @@ func TestMutrouteGolden(t *testing.T) {
 	checkGolden(t, "mutset", diags, "mutcall")
 }
 
+// TestTestonlyGolden loads the fixture's two packages, the second
+// supplying cross-package references, as a whole-module run would see
+// them. The stale waiver lands on its own comment line, which a want
+// comment cannot annotate, hence the direct assertion on it.
+func TestTestonlyGolden(t *testing.T) {
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := l.LoadDir(filepath.Join("testdata", "src", "testonly"), "bzlint.test/testonly")
+	if err != nil {
+		t.Fatal(err)
+	}
+	use, err := l.LoadDir(filepath.Join("testdata", "src", "testonlyuse"), "bzlint.test/testonlyuse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs := []*Package{def, use}
+	cfg := fixtureConfig()
+	cfg.TestOnly, cfg.StaleAllow = true, true
+	var diags, stale []Diagnostic
+	for _, d := range Run(l.Fset, pkgs, cfg) {
+		if d.Analyzer == "staleallow" {
+			stale = append(stale, d)
+			continue
+		}
+		diags = append(diags, d)
+	}
+	checkGolden(t, "testonly", diags, "testonlyuse")
+	if len(stale) != 1 || !strings.Contains(stale[0].Message, "//bzlint:allow testonly waiver suppresses no diagnostic") {
+		t.Fatalf("stale diagnostics = %v, want one stale testonly waiver", stale)
+	}
+	if line := stale[0].Pos.Line; !strings.Contains(fixtureLine(t, stale[0].Pos.Filename, line), "needed this was deleted") {
+		t.Errorf("stale waiver reported on line %d, want Live's waiver", line)
+	}
+
+	// A run that does not load the whole module leaves testonly off: no
+	// finding, and its waivers are not stale, since nothing consulted them.
+	cfg.TestOnly = false
+	for _, d := range Run(l.Fset, pkgs, cfg) {
+		t.Errorf("TestOnly=false: unexpected diagnostic %s", d)
+	}
+}
+
+// fixtureLine returns line n (1-based) of a fixture file.
+func fixtureLine(t *testing.T, path string, n int) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(string(data), "\n")[n-1]
+}
+
 // TestStaleAllow pins the stale-waiver report: a consumed waiver and a
 // mutroute member that calls its route's setter are silent; an ordered
 // waiver with no map range left, an allow waiver whose finding is gone,

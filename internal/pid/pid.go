@@ -60,24 +60,8 @@ func New(cfg Config) (*Controller, error) {
 	return &Controller{cfg: cfg, lastOut: cfg.OutMin}, nil
 }
 
-// Must is New that panics on error, for compile-time-constant configs.
-func Must(cfg Config) *Controller {
-	c, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // SetSetpoint updates the control target.
 func (c *Controller) SetSetpoint(sp float64) { c.setpoint = sp }
-
-// Setpoint returns the current control target.
-func (c *Controller) Setpoint() float64 { return c.setpoint }
-
-// Output returns the most recently computed output without advancing the
-// controller.
-func (c *Controller) Output() float64 { return c.lastOut }
 
 // SetIntegratorFrozen holds the integral state constant across Update
 // calls while on. Degradation logic freezes the integrator when the
@@ -86,14 +70,6 @@ func (c *Controller) Output() float64 { return c.lastOut }
 // toward an actuator extreme the real process never asked for. P and D
 // action remain live so control resumes cleanly when the input returns.
 func (c *Controller) SetIntegratorFrozen(on bool) { c.frozen = on }
-
-// Reset clears the integrator and derivative history, e.g. after a long
-// actuator outage.
-func (c *Controller) Reset() {
-	c.integral = 0
-	c.hasPrev = false
-	c.lastOut = c.cfg.OutMin
-}
 
 // Update advances the controller by dt seconds given the latest process
 // measurement and returns the clamped actuator command. dt must be

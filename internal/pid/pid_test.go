@@ -6,6 +6,16 @@ import (
 	"testing/quick"
 )
 
+// mustNew returns a controller for a config the test knows is valid.
+func mustNew(t *testing.T, cfg Config) *Controller {
+	t.Helper()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestConfigValidate(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -30,7 +40,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestProportionalResponse(t *testing.T) {
-	c := Must(Config{Kp: 2, OutMin: -100, OutMax: 100})
+	c := mustNew(t, Config{Kp: 2, OutMin: -100, OutMax: 100})
 	c.SetSetpoint(10)
 	if got := c.Update(4, 1); got != 12 {
 		t.Errorf("P-only output = %v, want 12", got)
@@ -38,7 +48,7 @@ func TestProportionalResponse(t *testing.T) {
 }
 
 func TestReverseActing(t *testing.T) {
-	c := Must(Config{Kp: 2, OutMin: -100, OutMax: 100, Reverse: true})
+	c := mustNew(t, Config{Kp: 2, OutMin: -100, OutMax: 100, Reverse: true})
 	c.SetSetpoint(10)
 	// Measurement above setpoint with Reverse → positive output.
 	if got := c.Update(14, 1); got != 8 {
@@ -47,7 +57,7 @@ func TestReverseActing(t *testing.T) {
 }
 
 func TestOutputClamped(t *testing.T) {
-	c := Must(Config{Kp: 100, OutMin: 0, OutMax: 5})
+	c := mustNew(t, Config{Kp: 100, OutMin: 0, OutMax: 5})
 	c.SetSetpoint(10)
 	if got := c.Update(0, 1); got != 5 {
 		t.Errorf("output = %v, want clamp at 5", got)
@@ -60,7 +70,7 @@ func TestOutputClamped(t *testing.T) {
 func TestIntegralEliminatesSteadyStateError(t *testing.T) {
 	// First-order plant: y' = (u - y)/tau. P-only control of this plant has
 	// steady-state error; PI must drive the error to ~0.
-	c := Must(Config{Kp: 0.5, Ki: 0.4, OutMin: 0, OutMax: 50})
+	c := mustNew(t, Config{Kp: 0.5, Ki: 0.4, OutMin: 0, OutMax: 50})
 	c.SetSetpoint(10)
 	y := 0.0
 	const dt, tau = 0.1, 2.0
@@ -77,7 +87,7 @@ func TestAntiWindupRecovery(t *testing.T) {
 	// Saturate hard for a long time, then flip the setpoint: a wound-up
 	// integrator would take many steps to unwind; conditional integration
 	// must recover quickly.
-	c := Must(Config{Kp: 1, Ki: 1, OutMin: 0, OutMax: 1})
+	c := mustNew(t, Config{Kp: 1, Ki: 1, OutMin: 0, OutMax: 1})
 	c.SetSetpoint(100)
 	for i := 0; i < 1000; i++ {
 		c.Update(0, 1) // massive persistent error, output pinned at 1
@@ -90,11 +100,11 @@ func TestAntiWindupRecovery(t *testing.T) {
 }
 
 func TestDerivativeOnMeasurementNoSetpointKick(t *testing.T) {
-	c := Must(Config{Kp: 1, Kd: 10, OutMin: -1000, OutMax: 1000})
+	c := mustNew(t, Config{Kp: 1, Kd: 10, OutMin: -1000, OutMax: 1000})
 	c.SetSetpoint(0)
 	c.Update(5, 1)
 	c.Update(5, 1) // establish steady measurement
-	before := c.Output()
+	before := c.lastOut
 	c.SetSetpoint(50) // setpoint step with unchanged measurement
 	after := c.Update(5, 1)
 	// Without derivative kick, the jump must equal Kp * d(setpoint) alone.
@@ -104,7 +114,7 @@ func TestDerivativeOnMeasurementNoSetpointKick(t *testing.T) {
 }
 
 func TestDerivativeDampsRateOfChange(t *testing.T) {
-	c := Must(Config{Kp: 1, Kd: 5, OutMin: -1000, OutMax: 1000})
+	c := mustNew(t, Config{Kp: 1, Kd: 5, OutMin: -1000, OutMax: 1000})
 	c.SetSetpoint(0)
 	c.Update(0, 1)
 	// Measurement rising fast → derivative term should push output down
@@ -117,7 +127,7 @@ func TestDerivativeDampsRateOfChange(t *testing.T) {
 }
 
 func TestNonPositiveDtReturnsPrevious(t *testing.T) {
-	c := Must(Config{Kp: 1, OutMin: -10, OutMax: 10})
+	c := mustNew(t, Config{Kp: 1, OutMin: -10, OutMax: 10})
 	c.SetSetpoint(5)
 	first := c.Update(0, 1)
 	if got := c.Update(100, 0); got != first {
@@ -129,7 +139,7 @@ func TestNonPositiveDtReturnsPrevious(t *testing.T) {
 }
 
 func TestNaNMeasurementIgnored(t *testing.T) {
-	c := Must(Config{Kp: 1, Ki: 1, OutMin: -10, OutMax: 10})
+	c := mustNew(t, Config{Kp: 1, Ki: 1, OutMin: -10, OutMax: 10})
 	c.SetSetpoint(5)
 	first := c.Update(0, 1)
 	if got := c.Update(math.NaN(), 1); got != first {
@@ -137,28 +147,10 @@ func TestNaNMeasurementIgnored(t *testing.T) {
 	}
 }
 
-func TestResetClearsState(t *testing.T) {
-	c := Must(Config{Kp: 1, Ki: 1, OutMin: 0, OutMax: 100})
-	c.SetSetpoint(10)
-	for i := 0; i < 50; i++ {
-		c.Update(0, 1)
-	}
-	c.Reset()
-	if c.Output() != 0 {
-		t.Errorf("output after reset = %v, want OutMin 0", c.Output())
-	}
-	// One step after reset must equal a fresh controller's first step.
-	fresh := Must(Config{Kp: 1, Ki: 1, OutMin: 0, OutMax: 100})
-	fresh.SetSetpoint(10)
-	if got, want := c.Update(3, 1), fresh.Update(3, 1); got != want {
-		t.Errorf("post-reset step = %v, want %v", got, want)
-	}
-}
-
 // Property: output is always within [OutMin, OutMax] regardless of inputs.
 func TestOutputAlwaysInBoundsProperty(t *testing.T) {
 	f := func(sp, meas int16, steps uint8) bool {
-		c := Must(Config{Kp: 3, Ki: 2, Kd: 1, OutMin: -7, OutMax: 13})
+		c := mustNew(t, Config{Kp: 3, Ki: 2, Kd: 1, OutMin: -7, OutMax: 13})
 		c.SetSetpoint(float64(sp))
 		out := 0.0
 		for i := 0; i <= int(steps%50); i++ {
@@ -178,12 +170,12 @@ func TestOutputAlwaysInBoundsProperty(t *testing.T) {
 // of the last error only.
 func TestPurePStatelessProperty(t *testing.T) {
 	f := func(sp, m1, m2 int16) bool {
-		a := Must(Config{Kp: 2, OutMin: -1e6, OutMax: 1e6})
+		a := mustNew(t, Config{Kp: 2, OutMin: -1e6, OutMax: 1e6})
 		a.SetSetpoint(float64(sp))
 		a.Update(float64(m1), 1)
 		got := a.Update(float64(m2), 1)
 
-		b := Must(Config{Kp: 2, OutMin: -1e6, OutMax: 1e6})
+		b := mustNew(t, Config{Kp: 2, OutMin: -1e6, OutMax: 1e6})
 		b.SetSetpoint(float64(sp))
 		want := b.Update(float64(m2), 1)
 		return got == want

@@ -34,7 +34,7 @@ func ExampleState() {
 // Mix models the adiabatic merging of two air streams — the airbox outlet
 // joining room air, or the AirCon's fresh-air blend.
 func ExampleMix() {
-	room := psychro.NewState(25, 60, 0)
+	room := psychro.State{T: 25, W: psychro.HumidityRatio(25, 60, psychro.AtmPressure), P: psychro.AtmPressure}
 	fresh := psychro.NewStateDewPoint(18, 16, 0)
 	blended := psychro.Mix(room, 0.8, fresh, 0.2)
 	fmt.Printf("blend: %.1f °C, dew %.1f °C\n", blended.T, blended.DewPoint())

@@ -16,9 +16,15 @@ import (
 
 const (
 	// MagnusA and MagnusB are the Magnus-formula coefficients used by the
-	// paper's dew-point equation (valid −45 °C … +60 °C over water).
+	// paper's dew-point equation, valid from MagnusMinC to MagnusMaxC over
+	// water.
 	MagnusA = 243.12 // °C
 	MagnusB = 17.62  // dimensionless
+
+	// MagnusMinC and MagnusMaxC bound the temperatures (°C) the Magnus
+	// coefficients are documented for.
+	MagnusMinC = -45.0
+	MagnusMaxC = 60.0
 
 	// magnusC completes the Magnus saturation-pressure form
 	// e_s(T) = magnusC · exp(MagnusB·T / (MagnusA + T)).
@@ -68,21 +74,6 @@ func DewPoint(t, rh float64) float64 {
 	}
 	gamma := math.Log(rh/100) + MagnusB*t/(MagnusA+t)
 	return MagnusA * gamma / (MagnusB - gamma)
-}
-
-// RHFromDewPoint inverts DewPoint: the relative humidity (%) of air at dry
-// bulb t (°C) whose dew point is tdew (°C). Results are clamped to
-// (0, 100]: a dew point above the dry bulb is physically supersaturated and
-// reports 100 %.
-func RHFromDewPoint(t, tdew float64) float64 {
-	rh := 100 * SatPressure(tdew) / SatPressure(t)
-	if rh > 100 {
-		return 100
-	}
-	if rh <= 0 {
-		return 1e-6
-	}
-	return rh
 }
 
 // HumidityRatio returns the humidity ratio W (kg/kg dry air) of air at
@@ -138,36 +129,6 @@ func Enthalpy(t, w float64) float64 {
 	return cpDryAir*t + w*(latentHeat0+cpVapour*t)
 }
 
-// WetBulb returns the thermodynamic wet-bulb temperature (°C) of air at
-// dry bulb t (°C) and humidity ratio w (kg/kg) at pressure p (Pa), by
-// bisecting the adiabatic-saturation balance
-// cp·(t − twb) = L·(w_s(twb) − w). It lies between the dew point and the
-// dry bulb.
-func WetBulb(t, w, p float64) float64 {
-	if p <= 0 {
-		p = AtmPressure
-	}
-	lo := DewPointFromHumidityRatio(w, p)
-	hi := t
-	if lo >= hi {
-		return t
-	}
-	const latentKJ = latentHeat0
-	balance := func(twb float64) float64 {
-		ws := HumidityRatioFromDewPoint(twb, p) // saturated at twb
-		return cpDryAir*(t-twb) - latentKJ*(ws-w)
-	}
-	for i := 0; i < 60; i++ {
-		mid := (lo + hi) / 2
-		if balance(mid) > 0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
 // DryAirDensity returns the density (kg/m³) of dry air at temperature t
 // (°C) and pressure p (Pa). Good to within ~1 % for HVAC humidity levels,
 // which is the accuracy class of the whole lumped model.
@@ -187,15 +148,6 @@ type State struct {
 	P float64
 }
 
-// NewState builds a moist-air state from dry bulb (°C) and relative
-// humidity (%). Pressure defaults to AtmPressure if p <= 0.
-func NewState(t, rh, p float64) State {
-	if p <= 0 {
-		p = AtmPressure
-	}
-	return State{T: t, W: HumidityRatio(t, rh, p), P: p}
-}
-
 // NewStateDewPoint builds a moist-air state from dry bulb and dew point
 // (both °C). Pressure defaults to AtmPressure if p <= 0.
 func NewStateDewPoint(t, tdew, p float64) State {
@@ -213,9 +165,6 @@ func (s State) DewPoint() float64 { return DewPointFromHumidityRatio(s.W, s.P) }
 
 // Enthalpy returns the state's specific enthalpy in kJ/kg dry air.
 func (s State) Enthalpy() float64 { return Enthalpy(s.T, s.W) }
-
-// Saturated reports whether the state is at or beyond saturation.
-func (s State) Saturated() bool { return s.RH() >= 100 }
 
 // String renders the state for logs.
 func (s State) String() string {

@@ -82,7 +82,7 @@ func TestDewPointRHRoundTrip(t *testing.T) {
 		tC := float64(tRaw%400)/10 + 1    // 0.1 … 41 °C
 		rh := float64(rhRaw%950)/10 + 5.0 // 5 … 100 %
 		dp := DewPoint(tC, rh)
-		back := RHFromDewPoint(tC, dp)
+		back := 100 * SatPressure(dp) / SatPressure(tC)
 		return almostEqual(back, rh, 0.01)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -136,11 +136,14 @@ func TestDryAirDensityKnownValue(t *testing.T) {
 	}
 }
 
+// rhState is the moist-air state at dry bulb tC (°C) and relative
+// humidity rh (%) at standard pressure.
+func rhState(tC, rh float64) State {
+	return State{T: tC, W: HumidityRatio(tC, rh, AtmPressure), P: AtmPressure}
+}
+
 func TestStateConstructionAndDerived(t *testing.T) {
-	s := NewState(25, 65, 0)
-	if s.P != AtmPressure {
-		t.Errorf("default pressure = %v, want %v", s.P, AtmPressure)
-	}
+	s := rhState(25, 65)
 	if !almostEqual(s.RH(), 65, 0.01) {
 		t.Errorf("RH round trip = %.3f, want 65", s.RH())
 	}
@@ -160,18 +163,9 @@ func TestStateDewPointConstruction(t *testing.T) {
 	}
 }
 
-func TestStateSaturated(t *testing.T) {
-	if NewState(25, 50, 0).Saturated() {
-		t.Error("50% RH state reported saturated")
-	}
-	if !NewState(25, 100, 0).Saturated() {
-		t.Error("100% RH state not reported saturated")
-	}
-}
-
 func TestMixConservesWaterAndEnthalpy(t *testing.T) {
-	a := NewState(30, 80, 0)
-	b := NewState(18, 40, 0)
+	a := rhState(30, 80)
+	b := rhState(18, 40)
 	m := Mix(a, 2, b, 3)
 	wantW := (2*a.W + 3*b.W) / 5
 	if !almostEqual(m.W, wantW, 1e-12) {
@@ -187,8 +181,8 @@ func TestMixConservesWaterAndEnthalpy(t *testing.T) {
 }
 
 func TestMixZeroFlowReturnsFirst(t *testing.T) {
-	a := NewState(30, 80, 0)
-	b := NewState(18, 40, 0)
+	a := rhState(30, 80)
+	b := rhState(18, 40)
 	m := Mix(a, 0, b, 0)
 	if m != a {
 		t.Errorf("Mix with zero flows = %+v, want %+v", m, a)
@@ -201,8 +195,8 @@ func TestMixIsSymmetricProperty(t *testing.T) {
 		t2 := float64(t2Raw%35) + 5
 		rh1 := float64(rh1Raw%90) + 5
 		rh2 := float64(rh2Raw%90) + 5
-		a := NewState(t1, rh1, 0)
-		b := NewState(t2, rh2, 0)
+		a := rhState(t1, rh1)
+		b := rhState(t2, rh2)
 		m1 := Mix(a, 1, b, 2)
 		m2 := Mix(b, 2, a, 1)
 		return almostEqual(m1.T, m2.T, 1e-9) && almostEqual(m1.W, m2.W, 1e-12)
@@ -218,50 +212,6 @@ func TestDewPointExtremeRHClamped(t *testing.T) {
 	}
 	if dp := DewPoint(25, 150); !almostEqual(dp, 25, 1e-9) {
 		t.Errorf("DewPoint(25, 150) = %v, want clamp to 25", dp)
-	}
-}
-
-func TestRHFromDewPointSupersaturatedClamps(t *testing.T) {
-	if rh := RHFromDewPoint(20, 25); rh != 100 {
-		t.Errorf("RHFromDewPoint(20, 25) = %v, want 100", rh)
-	}
-}
-
-func TestWetBulbKnownValue(t *testing.T) {
-	// 25 °C, 50 % RH → wet bulb ≈ 17.9 °C (psychrometric chart).
-	w := HumidityRatio(25, 50, AtmPressure)
-	got := WetBulb(25, w, AtmPressure)
-	if !almostEqual(got, 17.9, 0.5) {
-		t.Errorf("WetBulb(25, 50%%) = %.2f, want ≈17.9", got)
-	}
-}
-
-func TestWetBulbSaturatedEqualsDryBulb(t *testing.T) {
-	w := HumidityRatio(25, 100, AtmPressure)
-	if got := WetBulb(25, w, AtmPressure); !almostEqual(got, 25, 0.05) {
-		t.Errorf("saturated wet bulb = %.3f, want 25", got)
-	}
-}
-
-func TestWetBulbOrderingProperty(t *testing.T) {
-	f := func(tRaw, rhRaw uint8) bool {
-		tC := 5 + float64(tRaw%35)
-		rh := 10 + float64(rhRaw%90)
-		w := HumidityRatio(tC, rh, AtmPressure)
-		twb := WetBulb(tC, w, AtmPressure)
-		dp := DewPointFromHumidityRatio(w, AtmPressure)
-		// dew point <= wet bulb <= dry bulb
-		return dp-1e-6 <= twb && twb <= tC+1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestWetBulbDefaultPressure(t *testing.T) {
-	w := HumidityRatio(25, 50, AtmPressure)
-	if WetBulb(25, w, 0) != WetBulb(25, w, AtmPressure) {
-		t.Error("zero pressure should default to AtmPressure")
 	}
 }
 

@@ -1,23 +1,18 @@
 package psychro
 
-import "math"
-
-// Terms bundles the pressure-dependent constants of the psychrometric
-// relations so a batch kernel pays for them once per tick (or once per
-// climate change), not once per zone. The scalar package functions above
-// recompute `p / RDryAir` and `log(magnusC)` on every call; at four zones
-// per building and thousands of buildings per fleet epoch those folds are
-// the difference between a fused multiply and a divide-plus-transcendental
-// inside the innermost loop.
+// Terms holds the pressure-dependent constant of the dry-air density so
+// the room kernel pays for it once per configuration, not once per zone
+// per tick: DryAirDensity recomputes p / RDryAir on every call, and at
+// four zones per building and thousands of buildings per fleet epoch that
+// divide sits in the innermost loop.
 //
-// The hoisted forms are algebraically identical to the scalar reference
-// but associate the floating-point operations differently, so results can
-// differ in the last few mantissa bits. The equivalence is pinned by
-// property tests (terms_test.go): every Terms method must agree with its
-// scalar counterpart within 1e-9 relative error over a seeded input sweep.
+// The hoisted form is algebraically identical to the scalar reference but
+// associates the floating-point operations differently, so results can
+// differ in the last few mantissa bits. terms_test.go pins Density to
+// DryAirDensity within 1e-9 relative error over a seeded input sweep.
 // Code that needs bit-identical agreement with the scalar functions (the
 // lazily-cached derived state in internal/thermal, for example) keeps
-// calling the scalar forms; the batch kernel's per-zone flow math uses
+// calling the scalar forms; the room kernel's per-zone flow math uses
 // Terms under the golden-epoch tolerance discipline.
 type Terms struct {
 	// P is the total pressure the terms were built for, in Pa.
@@ -25,9 +20,6 @@ type Terms struct {
 	// rhoNum is P / RDryAir: the dry-air density numerator, so density
 	// is a single divide rhoNum / T_K instead of p / (R · T_K).
 	rhoNum float64
-	// lnC is log(magnusC), hoisted out of the dew-point inversion so the
-	// per-call work is one log instead of a divide feeding a log.
-	lnC float64
 }
 
 // NewTerms precomputes the hoisted constants for total pressure p (Pa).
@@ -36,7 +28,7 @@ func NewTerms(p float64) Terms {
 	if p <= 0 {
 		p = AtmPressure
 	}
-	return Terms{P: p, rhoNum: p / RDryAir, lnC: math.Log(magnusC)}
+	return Terms{P: p, rhoNum: p / RDryAir}
 }
 
 // Density returns the dry-air density (kg/m³) at dry bulb t (°C) — the
@@ -44,42 +36,3 @@ func NewTerms(p float64) Terms {
 func (tm Terms) Density(t float64) float64 {
 	return tm.rhoNum / (t + 273.15)
 }
-
-// DewPointFromW returns the dew point (°C) of air with humidity ratio w
-// (kg/kg) — the hoisted counterpart of DewPointFromHumidityRatio(w, tm.P):
-// log(pv/magnusC) is evaluated as log(pv) − lnC.
-func (tm Terms) DewPointFromW(w float64) float64 {
-	if w <= 0 {
-		w = 1e-9
-	}
-	pv := w * tm.P / (epsilonWater + w)
-	x := math.Log(pv) - tm.lnC
-	return MagnusA * x / (MagnusB - x)
-}
-
-// RHFromW returns relative humidity (%) at dry bulb t (°C) with humidity
-// ratio w — the counterpart of RHFromHumidityRatio(t, w, tm.P), clamped to
-// (0, 100] the same way.
-func (tm Terms) RHFromW(t, w float64) float64 {
-	pv := w * tm.P / (epsilonWater + w)
-	rh := 100 * pv / SatPressure(t)
-	if rh > 100 {
-		return 100
-	}
-	if rh <= 0 {
-		return 1e-6
-	}
-	return rh
-}
-
-// SatPressureAt returns the saturation vapour pressure (Pa) at t (°C).
-// The Magnus form has no pressure-dependent factor to hoist; the method
-// exists so batch-kernel call sites read uniformly off one Terms value and
-// stay covered by the same equivalence property test.
-func (tm Terms) SatPressureAt(t float64) float64 { return SatPressure(t) }
-
-// EnthalpyAt returns the moist-air specific enthalpy (kJ/kg dry air) at
-// dry bulb t (°C) and humidity ratio w. The enthalpy constants (cp of dry
-// air and vapour, latent heat at 0 °C) are compile-time constants already;
-// the method keeps the batch kernel's psychrometric surface on Terms.
-func (tm Terms) EnthalpyAt(t, w float64) float64 { return Enthalpy(t, w) }

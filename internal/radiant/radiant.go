@@ -149,17 +149,6 @@ func New(cfg Config, tank *hydraulic.Tank, loops [NumPanels]*hydraulic.MixingLoo
 // Name implements sim.Component.
 func (m *Module) Name() string { return "radiant.module" }
 
-// SetTPref changes the occupant temperature setpoint.
-func (m *Module) SetTPref(t float64) {
-	m.cfg.TPref = t
-	for _, c := range m.pids {
-		c.SetSetpoint(t)
-	}
-}
-
-// TPref returns the current temperature setpoint.
-func (m *Module) TPref() float64 { return m.cfg.TPref }
-
 // SetSafeMode switches a panel's condensation safe mode: while on, the
 // mixed-water target carries SafeModeRaiseK of extra margin above the
 // (possibly stale) dew estimate. Out-of-range panels are ignored.
@@ -167,11 +156,6 @@ func (m *Module) SetSafeMode(panel int, on bool) {
 	if panel >= 0 && panel < NumPanels {
 		m.safeMode[panel] = on
 	}
-}
-
-// SafeMode reports whether a panel is in condensation safe mode.
-func (m *Module) SafeMode(panel int) bool {
-	return panel >= 0 && panel < NumPanels && m.safeMode[panel]
 }
 
 // SetIntegratorsFrozen freezes or thaws the F_mix PID integrators of
@@ -225,23 +209,6 @@ func (m *Module) RoomTemp() float64 {
 		return math.NaN()
 	}
 	return sum / float64(n)
-}
-
-// TMixTarget returns the current mixed-water temperature target for a
-// panel (T_t_mix).
-func (m *Module) TMixTarget(panel int) float64 {
-	if panel < 0 || panel >= NumPanels {
-		return math.NaN()
-	}
-	return m.tMixTarget[panel]
-}
-
-// FMixTarget returns the current mixed-flow target for a panel (F_t_mix).
-func (m *Module) FMixTarget(panel int) float64 {
-	if panel < 0 || panel >= NumPanels {
-		return math.NaN()
-	}
-	return m.fMixTarget[panel]
 }
 
 // Loop exposes a panel's hydraulic loop for instrumentation.
@@ -317,12 +284,4 @@ func PanelZones(panel int) [2]int {
 		return [2]int{0, 1}
 	}
 	return [2]int{2, 3}
-}
-
-// PanelForZone maps a subspace to the panel above it.
-func PanelForZone(zone int) int {
-	if zone <= 1 {
-		return 0
-	}
-	return 1
 }

@@ -113,10 +113,10 @@ func TestDewBelowSupplyUsesPureSupplyTarget(t *testing.T) {
 	}
 	r.run(t, 5*time.Minute)
 	for p := 0; p < NumPanels; p++ {
-		if got := r.module.TMixTarget(p); math.Abs(got-18) > 0.01 {
+		if got := r.module.tMixTarget[p]; math.Abs(got-18) > 0.01 {
 			t.Errorf("panel %d TMixTarget = %v, want T_supp 18", p, got)
 		}
-		if got := r.module.FMixTarget(p); got <= 1 {
+		if got := r.module.fMixTarget[p]; got <= 1 {
 			t.Errorf("panel %d FMixTarget = %v, want substantial flow for 3.9 K error", p, got)
 		}
 		if q := r.module.Loop(p).Result().QW; q <= 100 {
@@ -135,7 +135,7 @@ func TestHumidAirRaisesMixTargetAboveSupply(t *testing.T) {
 	r.run(t, 5*time.Minute)
 	for p := 0; p < NumPanels; p++ {
 		want := 27.4 + DefaultConfig().DewMargin
-		if got := r.module.TMixTarget(p); math.Abs(got-want) > 0.01 {
+		if got := r.module.tMixTarget[p]; math.Abs(got-want) > 0.01 {
 			t.Errorf("panel %d TMixTarget = %v, want T_cdew+margin %v", p, got, want)
 		}
 		// Condensation safety: the panel surface must stay at or above the
@@ -155,7 +155,7 @@ func TestFlowBacksOffAtSetpoint(t *testing.T) {
 	}
 	r.run(t, 10*time.Minute)
 	for p := 0; p < NumPanels; p++ {
-		if got := r.module.FMixTarget(p); got > 1.0 {
+		if got := r.module.fMixTarget[p]; got > 1.0 {
 			t.Errorf("panel %d flow = %v at setpoint, want near zero", p, got)
 		}
 	}
@@ -187,19 +187,6 @@ func TestClosedLoopCoolsVirtualRoom(t *testing.T) {
 	}
 }
 
-func TestSetTPrefPropagates(t *testing.T) {
-	r := newRig(t)
-	r.module.SetTPref(23)
-	if r.module.TPref() != 23 {
-		t.Errorf("TPref = %v", r.module.TPref())
-	}
-	for _, c := range r.module.pids {
-		if c.Setpoint() != 23 {
-			t.Errorf("pid setpoint = %v, want 23", c.Setpoint())
-		}
-	}
-}
-
 func TestObserveIgnoresInvalid(t *testing.T) {
 	r := newRig(t)
 	r.module.ObservePanelDew(-1, 20)
@@ -210,9 +197,6 @@ func TestObserveIgnoresInvalid(t *testing.T) {
 	r.module.ObserveZoneTemp(0, math.NaN())
 	if !math.IsNaN(r.module.RoomTemp()) {
 		t.Error("invalid observations were recorded")
-	}
-	if !math.IsNaN(r.module.TMixTarget(-1)) || !math.IsNaN(r.module.FMixTarget(99)) {
-		t.Error("out-of-range target queries should return NaN")
 	}
 	if r.module.Loop(-1) != nil || r.module.Loop(99) != nil {
 		t.Error("out-of-range Loop should return nil")
@@ -231,11 +215,6 @@ func TestRoomTempAveragesPartialObservations(t *testing.T) {
 func TestPanelZoneMapping(t *testing.T) {
 	if PanelZones(0) != [2]int{0, 1} || PanelZones(1) != [2]int{2, 3} {
 		t.Error("PanelZones mapping wrong")
-	}
-	for z, want := range []int{0, 0, 1, 1} {
-		if got := PanelForZone(z); got != want {
-			t.Errorf("PanelForZone(%d) = %d, want %d", z, got, want)
-		}
 	}
 }
 

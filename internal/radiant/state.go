@@ -6,13 +6,10 @@ import (
 )
 
 // ModuleState is the radiant module's full mutable state, loops and PIDs
-// included. TPref travels because SetTPref mutates it at runtime; each
-// PID state carries its own setpoint.
+// included. Each PID state carries its own setpoint.
 //
 //bzlint:state ExportState RestoreState
 type ModuleState struct {
-	TPref float64
-
 	PanelDew   [NumPanels]float64 // NaN until first observation
 	ZoneTemp   [4]float64
 	TMixTarget [NumPanels]float64
@@ -26,7 +23,6 @@ type ModuleState struct {
 // ExportState captures the module's mutable state.
 func (m *Module) ExportState() ModuleState {
 	st := ModuleState{
-		TPref:      m.cfg.TPref,
 		PanelDew:   m.panelDew,
 		ZoneTemp:   m.zoneTemp,
 		TMixTarget: m.tMixTarget,
@@ -42,7 +38,6 @@ func (m *Module) ExportState() ModuleState {
 
 // RestoreState overwrites the module's mutable state.
 func (m *Module) RestoreState(st ModuleState) {
-	m.cfg.TPref = st.TPref
 	m.panelDew = st.PanelDew
 	m.zoneTemp = st.ZoneTemp
 	m.tMixTarget = st.TMixTarget

@@ -215,31 +215,11 @@ func TestCacheEvictsOldest(t *testing.T) {
 	}
 }
 
-func TestCachePurge(t *testing.T) {
-	c := NewCache[int, int](0)
-	for k := 0; k < 4; k++ {
-		if _, err := c.Do(context.Background(), k, func(context.Context) (int, error) { return k, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Purge()
-	if c.Len() != 0 {
-		t.Errorf("Len after Purge = %d", c.Len())
-	}
-	fresh := false
-	if _, err := c.Do(context.Background(), 0, func(context.Context) (int, error) { fresh = true; return 0, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if !fresh {
-		t.Error("purged entry still served from cache")
-	}
-}
-
 func TestScenarioCacheKeyedBySeedAndDuration(t *testing.T) {
-	c := NewScenarioCache[string](0)
+	c := NewCache[ScenarioKey, string](0)
 	var runs atomic.Int32
 	get := func(seed uint64, d time.Duration) string {
-		v, err := c.Get(context.Background(), seed, d, func(_ context.Context, seed uint64, d time.Duration) (string, error) {
+		v, err := c.Do(context.Background(), ScenarioKey{Seed: seed, Duration: d}, func(context.Context) (string, error) {
 			runs.Add(1)
 			return fmt.Sprintf("%d/%v", seed, d), nil
 		})

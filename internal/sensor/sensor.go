@@ -1,14 +1,12 @@
 // Package sensor models the measurement devices instrumented in
 // BubbleZERO (§III-B.2, §III-C.2): ADT7410 digital temperature sensors in
 // the water pipes, SHT75 temperature/humidity sensors on panels and
-// airbox outlets, NDIR CO₂ sensors, and VISION-2000 pulse-output flow
-// meters. Each model adds datasheet-grade bias, Gaussian noise, and
-// quantisation to the true physical value, so controllers downstream see
-// realistic imperfect readings.
+// airbox outlets, and NDIR CO₂ sensors. Each model adds datasheet-grade
+// bias, Gaussian noise, and quantisation to the true physical value, so
+// controllers downstream see realistic imperfect readings.
 package sensor
 
 import (
-	"fmt"
 	"math"
 	"math/rand/v2"
 )
@@ -43,17 +41,6 @@ func (m Model) WithRandomBias(rng *rand.Rand) Model {
 		m.Bias += (rng.Float64()*2 - 1) * m.AccuracyBand
 	}
 	return m
-}
-
-// Validate checks the model parameters.
-func (m Model) Validate() error {
-	if m.NoiseStd < 0 {
-		return fmt.Errorf("sensor %s: NoiseStd must be >= 0, got %v", m.Name, m.NoiseStd)
-	}
-	if m.Quantum < 0 {
-		return fmt.Errorf("sensor %s: Quantum must be >= 0, got %v", m.Name, m.Quantum)
-	}
-	return nil
 }
 
 // Read converts a true physical value into a sensor reading using rng for
@@ -128,54 +115,4 @@ func CO2NDIR() Model {
 		Min:          0,
 		Max:          10000,
 	}
-}
-
-// FlowMeter models the VISION-2000 turbine flow sensor. It emits pulses at
-// a frequency proportional to the volumetric flow; a reading integrates
-// whole pulses over a gate window, which quantises low flows coarsely —
-// the behaviour the Control-C-2 board has to live with.
-type FlowMeter struct {
-	// PulsesPerLitre is the K-factor of the turbine.
-	PulsesPerLitre float64
-	// GateSeconds is the counting window used per reading.
-	GateSeconds float64
-}
-
-// Vision2000 returns the flow meter used in BubbleZERO's hydraulic loops:
-// K-factor 2200 pulses/L with a 1 s gate.
-func Vision2000() FlowMeter {
-	return FlowMeter{PulsesPerLitre: 2200, GateSeconds: 1}
-}
-
-// Validate checks the meter parameters.
-func (f FlowMeter) Validate() error {
-	if f.PulsesPerLitre <= 0 {
-		return fmt.Errorf("sensor: FlowMeter PulsesPerLitre must be > 0, got %v", f.PulsesPerLitre)
-	}
-	if f.GateSeconds <= 0 {
-		return fmt.Errorf("sensor: FlowMeter GateSeconds must be > 0, got %v", f.GateSeconds)
-	}
-	return nil
-}
-
-// Read converts a true flow (litres per minute) into a measured flow
-// (litres per minute) by counting whole pulses over the gate window. rng
-// adds sub-pulse phase jitter; nil rng rounds deterministically.
-func (f FlowMeter) Read(trueLpm float64, rng *rand.Rand) float64 {
-	if trueLpm <= 0 {
-		return 0
-	}
-	pulses := trueLpm / 60 * f.PulsesPerLitre * f.GateSeconds
-	var whole float64
-	if rng != nil {
-		// The fractional pulse is observed with probability equal to the
-		// accumulated phase, which is how a real counter behaves.
-		whole = math.Floor(pulses)
-		if rng.Float64() < pulses-whole {
-			whole++
-		}
-	} else {
-		whole = math.Round(pulses)
-	}
-	return whole / f.PulsesPerLitre / f.GateSeconds * 60
 }

@@ -47,9 +47,6 @@ func (c *Clock) Now() time.Time {
 	return c.start.Add(time.Duration(c.tick) * c.step)
 }
 
-// Start returns the simulated instant the clock was created at.
-func (c *Clock) Start() time.Time { return c.start }
-
 // Step returns the fixed tick duration.
 func (c *Clock) Step() time.Duration { return c.step }
 

@@ -30,17 +30,8 @@ func (e *Env) Now() time.Time { return e.clock.Now() }
 // construction, not per call — the step never changes over a clock's life.
 func (e *Env) Dt() float64 { return e.dtS }
 
-// Step returns the step duration.
-func (e *Env) Step() time.Duration { return e.clock.Step() }
-
-// Tick returns the current tick index.
-func (e *Env) Tick() uint64 { return e.clock.Tick() }
-
 // Elapsed returns the simulated time since the engine started.
 func (e *Env) Elapsed() time.Duration { return e.clock.Elapsed() }
-
-// RNG returns the engine's deterministic random source.
-func (e *Env) RNG() *RNG { return e.rng }
 
 // Component is a simulation participant. Step is called once per tick in
 // registration order. Components that need a coarser cadence either keep

@@ -81,9 +81,6 @@ func (r *Registration) Resume() {
 	}
 }
 
-// Suspended reports whether the component is currently suspended.
-func (r *Registration) Suspended() bool { return r.ent.suspended }
-
 func (r *Registration) checkFaultable(op string) {
 	if !r.faultable {
 		panic("sim: Registration." + op + ": component " + r.ent.c.Name() + " not registered WithFaultable")

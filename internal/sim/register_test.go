@@ -44,11 +44,11 @@ func TestWithOnDemandSameTickWake(t *testing.T) {
 	var stepped []uint64
 	var wake func()
 	e.Register(ComponentFunc{ID: "producer", Fn: func(env *Env) {
-		if env.Tick()%3 == 0 {
+		if env.clock.Tick()%3 == 0 {
 			wake()
 		}
 	}})
-	c := ComponentFunc{ID: "net", Fn: func(env *Env) { stepped = append(stepped, env.Tick()) }}
+	c := ComponentFunc{ID: "net", Fn: func(env *Env) { stepped = append(stepped, env.clock.Tick()) }}
 	wake = e.Register(c, WithOnDemand()).Wake
 	if err := e.RunTicks(context.Background(), 10); err != nil {
 		t.Fatal(err)
@@ -86,20 +86,20 @@ func TestSuspendResumeAlwaysComponent(t *testing.T) {
 	e := NewEngine(MustClock(testStart, time.Second), 1)
 	var stepped []uint64
 	reg := e.Register(ComponentFunc{ID: "c", Fn: func(env *Env) {
-		stepped = append(stepped, env.Tick())
+		stepped = append(stepped, env.clock.Tick())
 	}}, WithFaultable())
 	if err := e.RunTicks(context.Background(), 3); err != nil {
 		t.Fatal(err)
 	}
 	reg.Suspend()
-	if !reg.Suspended() {
+	if !reg.ent.suspended {
 		t.Fatal("Suspended() false after Suspend")
 	}
 	if err := e.RunTicks(context.Background(), 4); err != nil {
 		t.Fatal(err)
 	}
 	reg.Resume()
-	if reg.Suspended() {
+	if reg.ent.suspended {
 		t.Fatal("Suspended() true after Resume")
 	}
 	if err := e.RunTicks(context.Background(), 3); err != nil {
@@ -188,7 +188,7 @@ func TestWakeLatchedAcrossSuspension(t *testing.T) {
 	e := NewEngine(MustClock(testStart, time.Second), 1)
 	var stepped []uint64
 	reg := e.Register(ComponentFunc{ID: "net", Fn: func(env *Env) {
-		stepped = append(stepped, env.Tick())
+		stepped = append(stepped, env.clock.Tick())
 	}}, WithOnDemand(), WithFaultable())
 	reg.Wake()
 	reg.Suspend()

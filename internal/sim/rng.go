@@ -85,4 +85,6 @@ func (r *RNG) restoreStreams(states []StreamState) error {
 }
 
 // Seed returns the root seed.
+//
+//bzlint:allow testonly core.TestSharedSystemsReadOneConfig checks each option's seed reached the engine
 func (r *RNG) Seed() uint64 { return r.seed }

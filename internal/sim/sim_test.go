@@ -154,7 +154,7 @@ func TestEnvExposesClock(t *testing.T) {
 	var ticks []uint64
 	e.Register(ComponentFunc{ID: "probe", Fn: func(env *Env) {
 		dts = append(dts, env.Dt())
-		ticks = append(ticks, env.Tick())
+		ticks = append(ticks, env.clock.Tick())
 	}})
 	if err := e.RunTicks(context.Background(), 3); err != nil {
 		t.Fatal(err)
@@ -331,10 +331,10 @@ func TestNewEnvMatchesEngineEnv(t *testing.T) {
 	clock := MustClock(time.Unix(0, 0).UTC(), 250*time.Millisecond)
 	e := NewEngine(clock, 9)
 	env := NewEnv(e.Clock(), e.RNG())
-	if env.Dt() != 0.25 || env.Step() != 250*time.Millisecond {
-		t.Errorf("NewEnv dt = %v step = %v, want 0.25 / 250ms", env.Dt(), env.Step())
+	if env.Dt() != 0.25 || env.clock.Step() != 250*time.Millisecond {
+		t.Errorf("NewEnv dt = %v step = %v, want 0.25 / 250ms", env.Dt(), env.clock.Step())
 	}
-	if env.RNG() != e.RNG() || !env.Now().Equal(clock.Now()) {
+	if env.rng != e.RNG() || !env.Now().Equal(clock.Now()) {
 		t.Error("NewEnv must expose the given clock and RNG")
 	}
 }

@@ -34,6 +34,8 @@ func (tl *Timeline) At(t time.Time, name string, fn func(env *Env)) {
 }
 
 // Len reports the number of pending events.
+//
+//bzlint:allow testonly fault.TestApplyRejectsUnknownNodeEagerly checks a failed Apply schedules nothing
 func (tl *Timeline) Len() int { return tl.h.Len() }
 
 // fire runs all events due at or before env.Now(). The current time is

@@ -31,7 +31,7 @@ func (a *accumCadenced) StepN(env *Env, n uint64) {
 		a.since += dt
 		for a.since >= a.periodS {
 			a.since -= a.periodS
-			a.fires = append(a.fires, env.Tick())
+			a.fires = append(a.fires, env.clock.Tick())
 			if a.observe != nil {
 				a.observe()
 			}
@@ -161,7 +161,7 @@ func TestTimelineEventOnSkippedTick(t *testing.T) {
 	// Tick 3 is mid-gap: the device's only activations in a 10-tick run
 	// are ticks 4 and 9.
 	e.Timeline().At(testStart.Add(3*time.Second), "setpoint", func(env *Env) {
-		firedTick = env.Tick()
+		firedTick = env.clock.Tick()
 		setting = 42
 	})
 	if err := e.RunTicks(context.Background(), 10); err != nil {
@@ -258,12 +258,12 @@ func TestOnDemandWake(t *testing.T) {
 	var stepped []uint64
 	var wake func()
 	e.Register(ComponentFunc{ID: "producer", Fn: func(env *Env) {
-		if tk := env.Tick(); tk == 2 || tk == 7 {
+		if tk := env.clock.Tick(); tk == 2 || tk == 7 {
 			wake()
 		}
 	}})
 	wake = e.Register(ComponentFunc{ID: "net", Fn: func(env *Env) {
-		stepped = append(stepped, env.Tick())
+		stepped = append(stepped, env.clock.Tick())
 	}}, WithOnDemand()).Wake
 	if err := e.RunTicks(context.Background(), 10); err != nil {
 		t.Fatal(err)
@@ -294,10 +294,10 @@ func TestWakeAfterPositionLandsNextTick(t *testing.T) {
 	e := NewEngine(MustClock(testStart, time.Second), 1)
 	var stepped []uint64
 	wake := e.Register(ComponentFunc{ID: "net", Fn: func(env *Env) {
-		stepped = append(stepped, env.Tick())
+		stepped = append(stepped, env.clock.Tick())
 	}}, WithOnDemand()).Wake
 	e.Register(ComponentFunc{ID: "late-producer", Fn: func(env *Env) {
-		if env.Tick() == 4 {
+		if env.clock.Tick() == 4 {
 			wake()
 		}
 	}})

@@ -316,12 +316,10 @@ func (r *Room) Outdoor() psychro.State { return r.clim.Out }
 // condition — the cached equivalent of Outdoor().DewPoint().
 func (r *Room) OutdoorDewPoint() float64 { return r.clim.Dew }
 
-// Climate returns the installed precomputed outdoor boundary.
-func (r *Room) Climate() Climate { return r.clim }
-
 // SetOutdoor updates the outdoor boundary condition mid-run.
 //
 //bzlint:mutsetter fleet.Apply
+//bzlint:allow testonly fleet.TestFleetClimateEventMatchesPerBuilding applies its per-building reference through it
 func (r *Room) SetOutdoor(s psychro.State) {
 	r.SetClimate(NewClimate(s, r.cfg.OutdoorCO2PPM))
 }
@@ -419,14 +417,6 @@ func (r *Room) SetOccupants(id ZoneID, n int) {
 	r.in.occC[id] = fn * r.cfg.OccupantCO2Ls / 1000 * 1e6 / 1 // L/s → m³/s → ppm·m³/s
 }
 
-// Occupants returns the occupant count of a zone.
-func (r *Room) Occupants(id ZoneID) int {
-	if !id.Valid() {
-		return 0
-	}
-	return r.in.occupants[id]
-}
-
 // OpenDoor opens the door (subspace-1) for the given duration, exchanging
 // outdoor air at the configured DoorFlow. Reopening while already open
 // extends the interval.
@@ -449,12 +439,6 @@ func (r *Room) OpenWindow(d time.Duration) {
 
 // DoorOpen reports whether the door is currently open.
 func (r *Room) DoorOpen() bool { return r.doorRemaining > 0 }
-
-// WindowOpen reports whether the window is currently open.
-func (r *Room) WindowOpen() bool { return r.windowRemaining > 0 }
-
-// DoorOpenings returns the cumulative number of door-open events.
-func (r *Room) DoorOpenings() int { return r.doorOpenings }
 
 // Step implements sim.Component: one batch-kernel call integrates every
 // zone of the building.

@@ -24,21 +24,6 @@ func BenchmarkSeriesAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkSeriesAppendPregrown measures the strictly allocation-free
-// path: capacity reserved via Grow before the loop, as the core trace
-// recorder does for a known horizon.
-func BenchmarkSeriesAppendPregrown(b *testing.B) {
-	s := NewRecorder().Series("bench")
-	s.Grow(b.N)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Append(benchT0.Add(time.Duration(i)*time.Second), float64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkRecorderStateGob measures one building's trace checkpoint:
 // ExportState, gob encode, gob decode and RestoreState of 23 full,
 // wrapped 960-sample rings — the shape a fleet's sampled buildings carry
@@ -77,15 +62,15 @@ func BenchmarkRecorderStateGob(b *testing.B) {
 	b.ReportMetric(float64(size), "gob-bytes")
 }
 
-// BenchmarkRecorderRecord measures the convenience string-keyed path for
-// contrast: every sample pays a map lookup on the series name. Hot loops
-// should Open once and Append instead.
+// BenchmarkRecorderRecord measures the string-keyed path for contrast:
+// every sample pays a map lookup on the series name. Hot loops should
+// resolve the series once and Append.
 func BenchmarkRecorderRecord(b *testing.B) {
 	r := NewRecorder()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := r.Record("bench", benchT0.Add(time.Duration(i)*time.Second), float64(i)); err != nil {
+		if err := r.Series("bench").Append(benchT0.Add(time.Duration(i)*time.Second), float64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

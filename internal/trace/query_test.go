@@ -205,7 +205,7 @@ func TestRecorderQueryUnknownSeries(t *testing.T) {
 	if !errorsIs(err, ErrNoSeries) {
 		t.Fatalf("want ErrNoSeries in chain, got %v", err)
 	}
-	if r.Has("nope") {
+	if r.series["nope"] != nil {
 		t.Error("Query must not create series as a side effect")
 	}
 }

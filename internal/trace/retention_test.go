@@ -66,7 +66,7 @@ func TestSetRetentionZeroRestoresUnbounded(t *testing.T) {
 	s.SetRetention(3)
 	appendN(t, s, 0, 8) // ring holds 5, 6, 7
 	s.SetRetention(0)
-	if got := s.Retention(); got != 0 {
+	if got := s.retain; got != 0 {
 		t.Fatalf("Retention = %d, want 0", got)
 	}
 	appendN(t, s, 8, 4)
@@ -109,27 +109,29 @@ func TestWriteExactCoversRingSeries(t *testing.T) {
 	}
 }
 
-// TestRecorderRecordZeroAlloc pins the Record hot path: through the
-// string-keyed convenience API, a pre-grown unbounded series and a
-// retained ring series must both append with zero allocations per call —
-// the ring by reusing its slots, the chunked series from capacity
-// reserved by Grow. A regression here (a new box, a map rehash on the
-// lookup path, a chunk alloc inside the measured window) fails hard.
+// TestRecorderRecordZeroAlloc pins the recording hot path: through the
+// string-keyed Series lookup, an unbounded series and a retained ring
+// series must both append with zero allocations per call — the ring by
+// reusing its slots, the chunked series by filling its open chunk, which
+// one warm-up sample opens with room for every measured append. A
+// regression here (a new box, a map rehash on the lookup path, a chunk
+// alloc inside the measured window) fails hard.
 func TestRecorderRecordZeroAlloc(t *testing.T) {
 	const rounds = 1000
 
 	r := NewRecorder()
-	grown := r.Series("grown")
-	grown.Grow(rounds + 1)
-	i := 0
+	if err := r.Series("grown").Append(retT0, 0); err != nil {
+		t.Fatal(err)
+	}
+	i := 1
 	allocs := testing.AllocsPerRun(rounds, func() {
-		if err := r.Record("grown", retT0.Add(time.Duration(i)*time.Second), float64(i)); err != nil {
+		if err := r.Series("grown").Append(retT0.Add(time.Duration(i)*time.Second), float64(i)); err != nil {
 			t.Fatal(err)
 		}
 		i++
 	})
 	if allocs != 0 {
-		t.Errorf("Record on a pre-grown series allocates %.2f per op, want 0", allocs)
+		t.Errorf("Record on an open-chunk series allocates %.2f per op, want 0", allocs)
 	}
 
 	ring := r.Series("ring")
@@ -138,7 +140,7 @@ func TestRecorderRecordZeroAlloc(t *testing.T) {
 	appendN(t, ring, 0, 200)
 	j := 200
 	allocs = testing.AllocsPerRun(rounds, func() {
-		if err := r.Record("ring", retT0.Add(time.Duration(j)*time.Second), float64(j)); err != nil {
+		if err := r.Series("ring").Append(retT0.Add(time.Duration(j)*time.Second), float64(j)); err != nil {
 			t.Fatal(err)
 		}
 		j++

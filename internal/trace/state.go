@@ -240,7 +240,7 @@ func (r *Recorder) RestoreState(st RecorderState) error {
 	}
 	for _, ss := range st.Series {
 		s := r.Series(ss.Name)
-		s.chunks, s.spare = nil, nil
+		s.chunks = nil
 		s.retain, s.ring, s.head, s.rlen = 0, nil, 0, 0
 		nanos, values := ss.Nanos, ss.Values
 		if ss.Retention > 0 {

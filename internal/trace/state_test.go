@@ -51,8 +51,8 @@ func TestRecorderStateRoundTrip(t *testing.T) {
 	if want.String() != got.String() {
 		t.Fatal("restored recorder WriteExact differs from original")
 	}
-	if fresh.Series("b").Retention() != 8 {
-		t.Errorf("retention = %d, want 8", fresh.Series("b").Retention())
+	if fresh.Series("b").retain != 8 {
+		t.Errorf("retention = %d, want 8", fresh.Series("b").retain)
 	}
 
 	// The restored ring must keep ring behavior: further appends evict.
@@ -81,7 +81,7 @@ func TestRecorderRestoreStateRejects(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := NewRecorder()
-			if err := r.Record("ok", t0, 7); err != nil {
+			if err := r.Series("ok").Append(t0, 7); err != nil {
 				t.Fatal(err)
 			}
 			var before, after strings.Builder
@@ -92,7 +92,7 @@ func TestRecorderRestoreStateRejects(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want it to mention %q", err, tc.want)
 			}
-			if r.Has("x") {
+			if r.series["x"] != nil {
 				t.Error("rejected state created series x")
 			}
 			if err := r.WriteExact(&after); err != nil {
@@ -164,8 +164,8 @@ func TestRecorderStateGobWrappedRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := fresh.Series("ring")
-	if rs.Retention() != 5 {
-		t.Fatalf("retention = %d, want 5", rs.Retention())
+	if rs.retain != 5 {
+		t.Fatalf("retention = %d, want 5", rs.retain)
 	}
 
 	same := func(stage string) {

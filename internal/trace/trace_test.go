@@ -139,7 +139,7 @@ func TestRecorderSeriesIdentityAndNames(t *testing.T) {
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Errorf("Names = %v, want [a b]", names)
 	}
-	if !r.Has("a") || r.Has("zzz") {
+	if r.series["a"] == nil || r.series["zzz"] != nil {
 		t.Error("Has misreports series existence")
 	}
 }
@@ -148,7 +148,7 @@ func TestWriteCSV(t *testing.T) {
 	r := NewRecorder()
 	for i := 0; i <= 4; i++ {
 		at := t0.Add(time.Duration(i) * time.Second)
-		if err := r.Record("temp", at, 25+float64(i)); err != nil {
+		if err := r.Series("temp").Append(at, 25+float64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -245,26 +245,24 @@ func TestStatsOrderingProperty(t *testing.T) {
 	}
 }
 
-func TestGrowMakesAppendAllocationFree(t *testing.T) {
+// Appends inside the open chunk allocate nothing: the first Append opens
+// an 8,192-point chunk, and the measured appends (plus AllocsPerRun's
+// warm-up call) all fit in it.
+func TestAppendWithinChunkAllocationFree(t *testing.T) {
 	s := NewRecorder().Series("x")
 	const n = 1000
-	s.Grow(n + 1) // AllocsPerRun warms up with one extra call
-	i := 0
+	if err := s.Append(t0, 0); err != nil {
+		t.Fatal(err)
+	}
+	i := 1
 	allocs := testing.AllocsPerRun(n, func() {
 		_ = s.Append(t0.Add(time.Duration(i)*time.Second), float64(i))
 		i++
 	})
 	if allocs != 0 {
-		t.Errorf("Append after Grow allocates %.1f/op, want 0", allocs)
+		t.Errorf("Append within the open chunk allocates %.1f/op, want 0", allocs)
 	}
 	if s.Len() < n {
 		t.Errorf("Len = %d after %d appends", s.Len(), n)
-	}
-	// Growing an already-roomy series is a no-op.
-	before := s.Len()
-	s.Grow(0)
-	s.Grow(-5)
-	if s.Len() != before {
-		t.Error("Grow must not change the sample count")
 	}
 }

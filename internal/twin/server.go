@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -116,6 +117,11 @@ func (s *Server) Handler() http.Handler {
 // maxJSONBody bounds JSON request bodies; snapshot uploads are exempt
 // (a large fleet's state is legitimately megabytes).
 const maxJSONBody = 1 << 20
+
+// maxQueryBuckets bounds a query window to (to − from)/step + 1 buckets,
+// checked before any bucket is built: 1 << 16 buckets is a JSON answer of
+// a few MB, and the CSV export builds one such column per named series.
+const maxQueryBuckets = 1 << 16
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -259,22 +265,34 @@ func (e eventRequest) toEvent() (fleet.Event, error) {
 	if err != nil {
 		return fleet.Event{}, err
 	}
+	door, err := secondsToDuration(e.DoorS)
+	if err != nil {
+		return fleet.Event{}, fmt.Errorf("door_s: %w", err)
+	}
 	ev := fleet.Event{
 		Kind:     kind,
 		Building: e.Building,
 		TC:       e.TC,
 		DewC:     e.DewC,
-		Door:     secondsToDuration(e.DoorS),
+		Door:     door,
 	}
-	for _, fr := range e.Faults {
+	for i, fr := range e.Faults {
 		fk, err := fault.ParseKind(fr.Kind)
 		if err != nil {
 			return fleet.Event{}, err
 		}
+		at, err := secondsToDuration(fr.AtS)
+		if err != nil {
+			return fleet.Event{}, fmt.Errorf("fault %d at_s: %w", i, err)
+		}
+		dur, err := secondsToDuration(fr.ForS)
+		if err != nil {
+			return fleet.Event{}, fmt.Errorf("fault %d for_s: %w", i, err)
+		}
 		ev.Faults = append(ev.Faults, fault.Event{
 			Kind:      fk,
-			At:        secondsToDuration(fr.AtS),
-			For:       secondsToDuration(fr.ForS),
+			At:        at,
+			For:       dur,
 			Node:      fr.Node,
 			Loop:      fault.Loop(fr.Loop),
 			Magnitude: fr.Magnitude,
@@ -283,8 +301,17 @@ func (e eventRequest) toEvent() (fleet.Event, error) {
 	return ev, nil
 }
 
-func secondsToDuration(s float64) time.Duration {
-	return time.Duration(s * float64(time.Second))
+// secondsToDuration converts a wire offset in seconds. It refuses what a
+// Duration cannot hold — NaN, ±Inf and anything beyond about ±292 years
+// — since converting such a float to an integer is implementation-defined
+// (amd64 yields math.MinInt64).
+func secondsToDuration(s float64) (time.Duration, error) {
+	ns := s * float64(time.Second)
+	// float64(math.MaxInt64) is 2^63 exactly; the negated test rejects NaN.
+	if !(ns >= math.MinInt64 && ns < math.MaxInt64) {
+		return 0, fmt.Errorf("%v s is not a representable duration", s)
+	}
+	return time.Duration(ns), nil
 }
 
 func (s *Server) handleEvent(w http.ResponseWriter, r *http.Request) {
@@ -364,10 +391,11 @@ type queryResponse struct {
 }
 
 // parseWindow extracts the from_s/to_s/step_s offsets (seconds since the
-// simulated start) shared by the query and CSV paths.
+// simulated start) shared by the query and CSV paths. A window it accepts
+// holds between 1 and maxQueryBuckets buckets.
 func parseWindow(r *http.Request, start time.Time) (from, to time.Time, step time.Duration, err error) {
 	q := r.URL.Query()
-	parse := func(key string) (float64, error) {
+	parse := func(key string) (time.Duration, error) {
 		raw := q.Get(key)
 		if raw == "" {
 			return 0, fmt.Errorf("missing query parameter %q", key)
@@ -376,21 +404,36 @@ func parseWindow(r *http.Request, start time.Time) (from, to time.Time, step tim
 		if err != nil {
 			return 0, fmt.Errorf("%s: %w", key, err)
 		}
-		return v, nil
+		d, err := secondsToDuration(v)
+		if err != nil {
+			return 0, fmt.Errorf("%s: %w", key, err)
+		}
+		return d, nil
 	}
-	fromS, err := parse("from_s")
+	fromD, err := parse("from_s")
 	if err != nil {
 		return from, to, step, err
 	}
-	toS, err := parse("to_s")
+	toD, err := parse("to_s")
 	if err != nil {
 		return from, to, step, err
 	}
-	stepS, err := parse("step_s")
-	if err != nil {
+	if step, err = parse("step_s"); err != nil {
 		return from, to, step, err
 	}
-	return start.Add(secondsToDuration(fromS)), start.Add(secondsToDuration(toS)), secondsToDuration(stepS), nil
+	if step <= 0 {
+		return from, to, step, fmt.Errorf("step_s must be positive, got %v", step)
+	}
+	from, to = start.Add(fromD), start.Add(toD)
+	if to.Before(from) {
+		return from, to, step, fmt.Errorf("query window is inverted: to_s precedes from_s")
+	}
+	// The last bucket's index, as trace.Query computes it; comparing it
+	// rather than the count cannot overflow.
+	if to.Sub(from)/step >= maxQueryBuckets {
+		return from, to, step, fmt.Errorf("query window holds more than %d buckets; raise step_s or narrow the window", maxQueryBuckets)
+	}
+	return from, to, step, nil
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {

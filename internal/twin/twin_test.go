@@ -12,6 +12,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -409,7 +410,10 @@ func TestServerEventValidation(t *testing.T) {
 		{Kind: "door", Building: 5, DoorS: 30}, // building out of range
 		{Kind: "door", Building: 0},            // non-positive duration
 		{Kind: "fault", Building: 0},           // no fault events
-		{Kind: "fault", Building: 0, Faults: []faultRequest{{Kind: "melted"}}}, // unknown fault kind
+		{Kind: "fault", Building: 0, Faults: []faultRequest{{Kind: "melted"}}},                                 // unknown fault kind
+		{Kind: "door", Building: 0, DoorS: 1e300},                                                              // duration overflow
+		{Kind: "fault", Building: 0, Faults: []faultRequest{{Kind: "chiller-trip", AtS: 1e300, Loop: "vent"}}}, // offset overflow
+		{Kind: "climate", TC: 1e308, DewC: 20},                                                                 // NaN in every zone
 	}
 	for i, ev := range bad {
 		httpJSON(t, client, http.MethodPost, ts.URL+"/twins/"+id+"/events", ev, http.StatusBadRequest, nil)
@@ -417,6 +421,120 @@ func TestServerEventValidation(t *testing.T) {
 	}
 	httpJSON(t, client, http.MethodPost, ts.URL+"/twins/"+id+"/events",
 		eventRequest{Kind: "door", Building: 0, DoorS: 45}, http.StatusAccepted, nil)
+
+	// The refused climate event left the twin's zones finite.
+	httpJSON(t, client, http.MethodPost, ts.URL+"/twins/"+id+"/run", map[string]uint64{"ticks": 600}, http.StatusAccepted, nil)
+	waitIdleHTTP(t, client, ts.URL, id, 600)
+	tw, _ := srv.reg.get(id)
+	err := tw.View(func(fl *fleet.Fleet) error {
+		for z := 0; z < thermal.NumZones; z++ {
+			st := fl.Building(0).Room().Zone(thermal.ZoneID(z))
+			if math.IsNaN(st.T) || math.IsInf(st.T, 0) || math.IsNaN(st.W) || math.IsInf(st.W, 0) {
+				t.Errorf("zone %d: T %v, W %v after a refused climate event, want finite", z, st.T, st.W)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// serve sends one request straight through the server's handler.
+func serve(h http.Handler, method, target, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+	return rec
+}
+
+// TestServerQueryWindowBounds pins the query window limits on both answer
+// paths: a window that is not finite, does not fit a Duration, or holds
+// more than maxQueryBuckets buckets is a 400 before any bucket is built,
+// and a window of exactly the limit is answered in full.
+func TestServerQueryWindowBounds(t *testing.T) {
+	srv := NewServer()
+	defer srv.Close()
+	h := srv.Handler()
+	rec := serve(h, http.MethodPost, "/twins", `{"buildings":2,"shards":1,"epoch_ticks":256}`)
+	var created createResponse
+	if err := json.NewDecoder(rec.Body).Decode(&created); err != nil || rec.Code != http.StatusCreated {
+		t.Fatalf("create: status %d, err %v", rec.Code, err)
+	}
+	tw, _ := srv.reg.get(created.ID)
+	if err := tw.RunTicks(60); err != nil {
+		t.Fatal(err)
+	}
+	waitIdle(t, tw, 60)
+	var name string
+	if err := tw.View(func(fl *fleet.Fleet) error { name = fl.Building(0).Recorder().Names()[0]; return nil }); err != nil {
+		t.Fatal(err)
+	}
+
+	last := fmt.Sprint(maxQueryBuckets - 1) // to_s of a window holding exactly the limit at step_s=1
+	for _, format := range []string{"json", "csv"} {
+		for _, tc := range []struct {
+			window string
+			want   int
+		}{
+			{"from_s=NaN&to_s=10&step_s=1", http.StatusBadRequest},
+			{"from_s=0&to_s=NaN&step_s=1", http.StatusBadRequest},
+			{"from_s=0&to_s=10&step_s=NaN", http.StatusBadRequest},
+			{"from_s=-Inf&to_s=10&step_s=1", http.StatusBadRequest},
+			{"from_s=0&to_s=+Inf&step_s=1", http.StatusBadRequest},
+			{"from_s=0&to_s=1e300&step_s=1e299", http.StatusBadRequest}, // overflows a Duration
+			{"from_s=0&to_s=9.3e9&step_s=1e9", http.StatusBadRequest},   // just past ±292 years
+			{"from_s=0&to_s=1000000&step_s=1", http.StatusBadRequest},   // 1,000,001 buckets
+			{"from_s=0&to_s=" + fmt.Sprint(maxQueryBuckets) + "&step_s=1", http.StatusBadRequest},
+			{"from_s=0&to_s=10&step_s=1e-10", http.StatusBadRequest}, // step rounds to zero
+			{"from_s=0&to_s=" + last + "&step_s=1", http.StatusOK},
+		} {
+			target := "/twins/" + created.ID + "/query?series=" + name + "&format=" + format + "&" + tc.window
+			rec := serve(h, http.MethodGet, target, "")
+			if rec.Code != tc.want {
+				t.Errorf("%s %s: status %d, want %d: %.200s", format, tc.window, rec.Code, tc.want, rec.Body.String())
+				continue
+			}
+			if rec.Code != http.StatusOK {
+				continue
+			}
+			if format == "csv" {
+				if rows := strings.Count(rec.Body.String(), "\n"); rows != maxQueryBuckets+1 {
+					t.Errorf("csv at the limit: %d lines, want %d (header + buckets)", rows, maxQueryBuckets+1)
+				}
+				continue
+			}
+			var qr queryResponse
+			if err := json.NewDecoder(rec.Body).Decode(&qr); err != nil {
+				t.Fatal(err)
+			}
+			if len(qr.Points) != maxQueryBuckets {
+				t.Errorf("json at the limit: %d points, want %d", len(qr.Points), maxQueryBuckets)
+			}
+		}
+	}
+}
+
+// FuzzParseWindow feeds the query window parser arbitrary from_s, to_s
+// and step_s strings. It must never panic, and a window it accepts holds
+// between 1 and maxQueryBuckets buckets, counted as trace.Query counts
+// them. The corpus in testdata/fuzz holds the non-finite, overflowing and
+// vanishing offsets and the README's query.
+func FuzzParseWindow(f *testing.F) {
+	start := time.Date(2014, 3, 1, 9, 0, 0, 0, time.UTC)
+	f.Fuzz(func(t *testing.T, fromS, toS, stepS string) {
+		q := url.Values{"from_s": {fromS}, "to_s": {toS}, "step_s": {stepS}}
+		r := &http.Request{URL: &url.URL{RawQuery: q.Encode()}}
+		from, to, step, err := parseWindow(r, start)
+		if err != nil {
+			return
+		}
+		if step <= 0 || to.Before(from) {
+			t.Fatalf("accepted step %v over [%v, %v]", step, from, to)
+		}
+		if last := to.Sub(from) / step; last >= maxQueryBuckets {
+			t.Fatalf("accepted %d+1 buckets, limit %d", last, maxQueryBuckets)
+		}
+	})
 }
 
 // TestServerCreateRejectsBadConfig pins the 400 path of POST /twins: an

@@ -64,24 +64,17 @@ func (c CoilConfig) Validate() error {
 type FanConfig struct {
 	// MaxFlowM3s is the ventilation volume flow at full speed.
 	MaxFlowM3s float64
-	// MaxPowerW is the electrical draw at full speed.
-	MaxPowerW float64
-	// StandbyW is drawn whenever the box is powered.
-	StandbyW float64
 }
 
 // DefaultFan returns the calibrated fan bank.
 func DefaultFan() FanConfig {
-	return FanConfig{MaxFlowM3s: 0.024, MaxPowerW: 11, StandbyW: 0.3}
+	return FanConfig{MaxFlowM3s: 0.024}
 }
 
 // Validate checks the fan parameters.
 func (f FanConfig) Validate() error {
 	if f.MaxFlowM3s <= 0 {
 		return fmt.Errorf("vent: fan MaxFlowM3s must be > 0")
-	}
-	if f.MaxPowerW < 0 || f.StandbyW < 0 {
-		return fmt.Errorf("vent: fan powers must be >= 0")
 	}
 	return nil
 }
@@ -153,21 +146,9 @@ func (b *Airbox) MaxFanFlow() float64 { return b.fan.MaxFlowM3s }
 // Outlet returns the most recent outlet air state.
 func (b *Airbox) Outlet() psychro.State { return b.outlet }
 
-// CondensateKgS returns the moisture extraction rate of the last step.
-func (b *Airbox) CondensateKgS() float64 { return b.condensate }
-
 // CoilLoadW returns the thermal load placed on the cold-water loop by the
 // last step.
 func (b *Airbox) CoilLoadW() float64 { return b.coilLoadW }
-
-// PowerW returns the electrical draw of fans and coil pump.
-func (b *Airbox) PowerW() float64 {
-	frac := 0.0
-	if b.fan.MaxFlowM3s > 0 {
-		frac = b.fanFlow / b.fan.MaxFlowM3s
-	}
-	return b.fan.StandbyW + b.fan.MaxPowerW*frac*frac*frac + b.pump.PowerW()
-}
 
 // ParkPump stops the coil pump without disturbing the PID state; used
 // while the fans are off.

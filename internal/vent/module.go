@@ -156,9 +156,12 @@ type Module struct {
 
 	taTarget float64
 
+	// tpDew is the preferred dew point T_p_dew, fixed by the
+	// configuration's TPref and RHPref.
+	tpDew float64
+
 	// Exact-argument memos for the psychrometric conversions the per-tick
 	// control law repeats on slowly-changing inputs (see zoneObs).
-	tpDewMemo   memo2 // (TPref, RHPref) -> preferred dew point
 	roomDewMemo memo2 // (avg temp, avg rh) -> room dew point
 	sizingMemo  struct {
 		target            float64
@@ -181,7 +184,8 @@ func New(cfg Config, tank *hydraulic.Tank, outdoor func() psychro.State, co2Out 
 	if outdoor == nil {
 		return nil, fmt.Errorf("vent: outdoor must not be nil")
 	}
-	m := &Module{cfg: cfg, tank: tank, outdoor: outdoor, co2Out: co2Out, tSupp: math.NaN()}
+	m := &Module{cfg: cfg, tank: tank, outdoor: outdoor, co2Out: co2Out, tSupp: math.NaN(),
+		tpDew: psychro.DewPoint(cfg.TPref, cfg.RHPref)}
 	for i := range m.boxes {
 		pump := &hydraulic.Pump{MaxFlowLpm: cfg.Coil.MaxFlowLpm, MaxPowerW: 2, StandbyW: 0.1}
 		box, err := NewAirbox(cfg.Coil, cfg.Fan, pump, cfg.DewPID)
@@ -255,11 +259,6 @@ func (m *Module) SetBoxDewUntrusted(box int, on bool) {
 	m.boxes[box].SetDewIntegratorFrozen(on)
 }
 
-// BoxDewUntrusted reports whether a box's dew measurement is untrusted.
-func (m *Module) BoxDewUntrusted(box int) bool {
-	return box >= 0 && box < NumBoxes && m.boxUntrusted[box]
-}
-
 // DeratePumps limits every coil pump to frac of its commanded flow (1
 // restores healthy pumps) — the fault layer's pump-degradation hook.
 func (m *Module) DeratePumps(frac float64) {
@@ -268,17 +267,9 @@ func (m *Module) DeratePumps(frac float64) {
 	}
 }
 
-// SetPreference updates the occupant temperature/humidity preference.
-func (m *Module) SetPreference(tPref, rhPref float64) {
-	m.cfg.TPref = tPref
-	m.cfg.RHPref = rhPref
-}
-
 // TPDew returns the preferred dew point T_p_dew derived from the occupant
 // preference.
-func (m *Module) TPDew() float64 {
-	return m.tpDewMemo.get(m.cfg.TPref, m.cfg.RHPref, psychro.DewPoint)
-}
+func (m *Module) TPDew() float64 { return m.tpDew }
 
 // TaTarget returns the current airbox outlet dew target T_a,t_dew.
 func (m *Module) TaTarget() float64 { return m.taTarget }
@@ -299,16 +290,6 @@ func (m *Module) RoomDew() float64 {
 		return math.NaN()
 	}
 	return m.roomDewMemo.get(tSum/float64(n), rhSum/float64(n), psychro.DewPoint)
-}
-
-// PowerW returns the total electrical draw of all boxes (fans + coil
-// pumps).
-func (m *Module) PowerW() float64 {
-	var sum float64
-	for _, b := range m.boxes {
-		sum += b.PowerW()
-	}
-	return sum
 }
 
 // CoilPumpPowerW returns only the coil pump draw — the paper's COP

@@ -31,14 +31,12 @@ type AirboxState struct {
 	Dew        pid.State
 }
 
-// ModuleState is the ventilation module's full mutable state. TPref/RHPref
-// travel because SetPreference mutates them at runtime; the psychrometric
-// memos are rebuilt cold (same pure functions, same arguments, same bits).
+// ModuleState is the ventilation module's full mutable state. The
+// psychrometric memos are rebuilt cold (same pure functions, same
+// arguments, same bits).
 //
 //bzlint:state ExportState RestoreState
 type ModuleState struct {
-	TPref, RHPref float64
-
 	Zones        [NumBoxes]ZoneObsState
 	TSupp        float64 // NaN until Control-C-1 broadcasts
 	AirboxDew    [NumBoxes]float64
@@ -51,8 +49,6 @@ type ModuleState struct {
 // ExportState captures the module's mutable state.
 func (m *Module) ExportState() ModuleState {
 	st := ModuleState{
-		TPref:        m.cfg.TPref,
-		RHPref:       m.cfg.RHPref,
 		TSupp:        m.tSupp,
 		AirboxDew:    m.airboxDew,
 		BoxUntrusted: m.boxUntrusted,
@@ -80,8 +76,6 @@ func (m *Module) ExportState() ModuleState {
 // RestoreState overwrites the module's mutable state and invalidates
 // every exact-key memo.
 func (m *Module) RestoreState(st ModuleState) {
-	m.cfg.TPref = st.TPref
-	m.cfg.RHPref = st.RHPref
 	m.tSupp = st.TSupp
 	m.airboxDew = st.AirboxDew
 	m.boxUntrusted = st.BoxUntrusted
@@ -103,7 +97,6 @@ func (m *Module) RestoreState(st ModuleState) {
 		b.pump.RestoreState(bs.Pump)
 		b.dew.RestoreState(bs.Dew)
 	}
-	m.tpDewMemo = memo2{}
 	m.roomDewMemo = memo2{}
 	m.sizingMemo.valid = false
 }

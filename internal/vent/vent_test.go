@@ -138,7 +138,7 @@ func TestAirboxIdleWhenFansOff(t *testing.T) {
 	box := mustBox(t)
 	box.pump.SetFlow(2)
 	box.Process(tropical, tank, 1)
-	if box.CoilLoadW() != 0 || box.CondensateKgS() != 0 {
+	if box.CoilLoadW() != 0 || box.condensate != 0 {
 		t.Error("idle box reported load or condensate")
 	}
 	if box.FlapOpen() {
@@ -152,7 +152,7 @@ func TestAirboxCondensateAndLoadPositive(t *testing.T) {
 	box.SetFanFlow(0.015)
 	box.pump.SetFlow(1.5)
 	box.Process(tropical, tank, 1)
-	if box.CondensateKgS() <= 0 {
+	if box.condensate <= 0 {
 		t.Error("dehumidifying tropical air should condense water")
 	}
 	if box.CoilLoadW() <= 0 {
@@ -176,17 +176,6 @@ func TestAirboxFanClamp(t *testing.T) {
 	box.SetFanFlow(-1)
 	if box.FanFlow() != 0 {
 		t.Error("negative fan command accepted")
-	}
-}
-
-func TestAirboxPowerIncreasesWithFlow(t *testing.T) {
-	box := mustBox(t)
-	box.SetFanFlow(0)
-	idle := box.PowerW()
-	box.SetFanFlow(box.MaxFanFlow())
-	full := box.PowerW()
-	if full <= idle {
-		t.Errorf("full-speed power %v <= idle %v", full, idle)
 	}
 }
 
@@ -272,7 +261,7 @@ func TestFansRunOnHumidityError(t *testing.T) {
 	if m.CoilLoadW() <= 0 {
 		t.Error("no coil load while dehumidifying")
 	}
-	if m.PowerW() <= 0 {
+	if m.CoilPumpPowerW() <= 0 {
 		t.Error("no power draw while ventilating")
 	}
 }

@@ -35,10 +35,8 @@ type SensorDevice struct {
 	tsplS       float64
 	sinceSample float64
 
-	// onSample observes every sampling event (for Tsnd traces); onSend
-	// observes transmissions.
+	// onSample observes every sampling event (for Tsnd traces).
 	onSample func(value, tsndS float64, transition bool)
-	onSend   func(value float64)
 
 	// Fault-injection state (see internal/fault). A stuck channel latches
 	// the first reading taken after the fault lands; a drifting channel
@@ -136,9 +134,6 @@ func (d *SensorDevice) TsndS() float64 {
 func (d *SensorDevice) OnSample(fn func(value, tsndS float64, transition bool)) {
 	d.onSample = fn
 }
-
-// OnSend registers a callback invoked at every transmission.
-func (d *SensorDevice) OnSend(fn func(value float64)) { d.onSend = fn }
 
 // SetStuck latches (on) or releases (off) the sensor channel. While
 // stuck, every sample repeats the first reading taken after the latch —
@@ -263,12 +258,9 @@ func (d *SensorDevice) sampleOnce() {
 		return
 	}
 	msg := Message{Type: d.typ, Zone: d.zone, Value: value}
-	if err := d.net.Broadcast(d.node, msg); err != nil {
-		return // depleted battery: silently offline, like a real mote
-	}
-	if d.onSend != nil {
-		d.onSend(value)
-	}
+	// A depleted battery fails the broadcast: the mote is silently
+	// offline, like a real one.
+	_ = d.net.Broadcast(d.node, msg)
 }
 
 // PeriodicBroadcaster is an AC-powered board publishing a processed value

@@ -84,14 +84,6 @@ func (s Stats) DeliveryRate() float64 {
 	return float64(s.Delivered) / float64(s.Sent)
 }
 
-// AvgDelayS returns the mean channel-access delay of delivered packets.
-func (s Stats) AvgDelayS() float64 {
-	if s.Delivered == 0 {
-		return 0
-	}
-	return s.TotalDelayS / float64(s.Delivered)
-}
-
 // scratchStarts returns the reusable start-time buffer sized to k. Values
 // are fully overwritten by the deferral pass, so no clearing is needed.
 func (n *Network) scratchStarts(k int) []float64 {
@@ -211,9 +203,6 @@ func NewNetwork(cfg Config, rng *rand.Rand) (*Network, error) {
 
 // Name implements sim.Component.
 func (n *Network) Name() string { return "wsn.network" }
-
-// Config returns the medium configuration.
-func (n *Network) Config() Config { return n.cfg }
 
 // AddNode registers a mote. Battery nodes get a fresh two-AA battery.
 func (n *Network) AddNode(id NodeID, class PowerClass) (*Node, error) {

@@ -92,13 +92,14 @@ func (s *Sniffer) observe(m Message) {
 func (s *Sniffer) Err() error { return s.writeErr }
 
 // Total returns the number of observed packets.
+//
+//bzlint:allow testonly core.TestAttachSniffer checks the log against it
 func (s *Sniffer) Total() int { return s.total }
 
 // TypeCount returns the packets seen of one type.
+//
+//bzlint:allow testonly core.TestAttachSniffer counts temperature packets with it
 func (s *Sniffer) TypeCount(t MsgType) int { return s.byType[t] }
-
-// SourceCount returns the packets seen from one node.
-func (s *Sniffer) SourceCount(id NodeID) int { return s.bySource[id] }
 
 // InterArrival returns the mean and standard deviation (seconds) of the
 // gaps between consecutive packets of one type, and how many gaps were

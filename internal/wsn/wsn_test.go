@@ -222,14 +222,14 @@ func TestStatsAccounting(t *testing.T) {
 	if s.Delivered+s.Collided+s.LostRandom != s.Sent {
 		t.Errorf("counters don't sum: %+v", s)
 	}
-	if s.AvgDelayS() <= 0 {
-		t.Errorf("AvgDelayS = %v, want > 0 (airtime floor)", s.AvgDelayS())
+	if avg := s.TotalDelayS / float64(s.Delivered); !(avg > 0) {
+		t.Errorf("mean delay = %v, want > 0 (airtime floor)", avg)
 	}
 }
 
 func TestEmptyStats(t *testing.T) {
 	var s Stats
-	if s.DeliveryRate() != 0 || s.AvgDelayS() != 0 {
+	if s.DeliveryRate() != 0 {
 		t.Error("empty stats should report zeros")
 	}
 }
@@ -265,14 +265,12 @@ func TestSensorDeviceFixedModeSendsEverySample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sends := 0
-	dev.OnSend(func(float64) { sends++ })
 	e.Register(dev)
 	e.Register(n)
 	if err := e.RunFor(context.Background(), 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if sends != 30 {
+	if sends := node.seq; sends != 30 {
 		t.Errorf("fixed-mode sends = %d over 60 s at 2 s, want 30", sends)
 	}
 	if got := dev.TsndS(); got != 2 {
@@ -292,8 +290,6 @@ func TestSensorDeviceAdaptiveModeBacksOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sends := 0
-	dev.OnSend(func(float64) { sends++ })
 	e.Register(dev)
 	e.Register(n)
 	if err := e.RunFor(context.Background(), 30*time.Minute); err != nil {
@@ -304,7 +300,7 @@ func TestSensorDeviceAdaptiveModeBacksOff(t *testing.T) {
 		t.Errorf("adaptive TsndS = %v, want 64", got)
 	}
 	fixedSends := 30 * 60 / 2
-	if sends >= fixedSends/10 {
+	if sends := int(node.seq); sends >= fixedSends/10 {
 		t.Errorf("adaptive sends = %d, want far fewer than fixed %d", sends, fixedSends)
 	}
 }
@@ -363,14 +359,12 @@ func TestSensorDeviceStopsWhenBatteryDies(t *testing.T) {
 		Read: func() float64 { return 25 }, Mode: ModeFixed, TsplS: 2,
 	})
 	node.Battery().Drain(node.Battery().RemainingJ())
-	sends := 0
-	dev.OnSend(func(float64) { sends++ })
 	e.Register(dev)
 	e.Register(n)
 	if err := e.RunFor(context.Background(), time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if sends != 0 {
+	if sends := node.seq; sends != 0 {
 		t.Errorf("dead device sent %d packets", sends)
 	}
 }
@@ -437,8 +431,8 @@ func TestSnifferCountsAndLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	sn.Attach(n)
-	e.Register(sim.ComponentFunc{ID: "src", Fn: func(env *sim.Env) {
-		if env.Tick()%5 == 0 {
+	e.Register(sim.ComponentFunc{ID: "src", Fn: func(*sim.Env) {
+		if e.Clock().Tick()%5 == 0 {
 			_ = n.Broadcast(node, Message{Type: MsgTemperature, Zone: 1, Value: 25})
 		}
 	}})
@@ -455,8 +449,8 @@ func TestSnifferCountsAndLog(t *testing.T) {
 	if sn.TypeCount(MsgTemperature) != 10 || sn.TypeCount(MsgCO2) != 0 {
 		t.Error("type counts wrong")
 	}
-	if sn.SourceCount("t1") != 10 {
-		t.Errorf("source count = %d", sn.SourceCount("t1"))
+	if sn.bySource["t1"] != 10 {
+		t.Errorf("source count = %d", sn.bySource["t1"])
 	}
 	mean, std, gaps := sn.InterArrival(MsgTemperature)
 	if gaps != 9 {
