@@ -112,15 +112,19 @@ bench-http-json:
 	$(GO) test -bench HTTPQuery -benchmem -benchtime 2000x -count 6 -run '^$$' ./internal/twin \
 		| tee /dev/stderr | sh scripts/bench_json.sh > BENCH_http.json
 
-# Ten seconds each of coverage-guided fuzzing of two untrusted inputs: the
-# trace series decoder, the first decoder a twin restore feeds, and the
-# twin query's from_s/to_s/step_s window parser. `go test` fuzzes one
-# target per invocation. Each checked-in corpus (testdata/fuzz beside the
+# Ten seconds each of coverage-guided fuzzing of three untrusted inputs:
+# the trace series decoder, the first decoder a twin restore feeds; the
+# twin query's from_s/to_s/step_s window parser; and a whole snapshot
+# body through ReadSnapshot and RestoreTwin. `go test` fuzzes one target
+# per invocation. Each checked-in corpus (testdata/fuzz beside the
 # target) runs first; a failure found here lands there as a new
-# regression input.
+# regression input. A snapshot input is tens of KB, and minimizing one
+# that finds new coverage can take the whole ten seconds, so that target
+# caps minimization at 100 runs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSeriesStateGobDecode$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzParseWindow$$' -fuzztime 10s ./internal/twin
+	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/twin
 
 # Regression gate: fail when a guarded rate (BenchmarkSystemTick ticks/s,
 # BenchmarkFleetTick/N1000xS8 building-ticks/s) falls more than

@@ -41,7 +41,7 @@ func main() {
 
 func run() error {
 	var (
-		fig        = flag.String("fig", "all", "figure to regenerate: 10, 11, 12, 13, 14, 15, resilience, lifetime, exergy, ablations, histreset, fleet, all (fleet only when named: its summary reports host-dependent wall-clock and heap measurements; histreset only when named, so that all keeps its output)")
+		fig        = flag.String("fig", "all", "figure to regenerate: 10, 11, 12, 13, 14, 15, resilience, lifetime, exergy, ablations, histreset, fleet, all (fleet only when named: its summary reports host-dependent wall-clock throughput; histreset only when named, so that all keeps its output)")
 		buildings  = flag.Int("buildings", 100, "fleet size for -fig fleet")
 		shards     = flag.Int("shards", 0, "fleet shard count for -fig fleet (0 = NumCPU)")
 		seed       = flag.Uint64("seed", 1, "simulation seed")
@@ -263,10 +263,10 @@ func run() error {
 		if !all && *fig != s.name {
 			continue
 		}
-		// The fleet section reports wall-clock throughput and measured
-		// live-heap bytes — host-dependent numbers that would break the
-		// byte-identical -fig all diff across -parallel widths — so it
-		// only runs when named explicitly. histreset runs only when named
+		// The fleet section reports wall-clock throughput — a
+		// host-dependent number that would break the byte-identical
+		// -fig all diff across -parallel widths — so it only runs when
+		// named explicitly. histreset runs only when named
 		// too, so that -fig all keeps its bytes.
 		if all && (s.name == "fleet" || s.name == "histreset") {
 			continue

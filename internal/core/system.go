@@ -76,6 +76,11 @@ type traceSeries struct {
 	copTotal, copRadiant, copVent *trace.Series
 }
 
+// TracedSeries is the number of series a traced System records: the
+// temperature, dew point and CO2 of every zone, plus the nine
+// building-wide series openTraceSeries opens after them.
+const TracedSeries = 3*thermal.NumZones + 9
+
 // openTraceSeries opens every traced series on rec. The order matches the
 // historical first-record order so Recorder.Names() stays stable.
 func openTraceSeries(rec *trace.Recorder) traceSeries {

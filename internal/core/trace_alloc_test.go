@@ -54,6 +54,9 @@ func TestTraceSeriesOpenedUpFront(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("recorder has %d series, want %d: %v", len(got), len(want), got)
 	}
+	if TracedSeries != len(want) {
+		t.Errorf("TracedSeries = %d, want %d", TracedSeries, len(want))
+	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("series[%d] = %q, want %q", i, got[i], want[i])

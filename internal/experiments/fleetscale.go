@@ -13,13 +13,15 @@ import (
 // FleetScaleResult captures the fleet-scale experiment: N independent
 // BubbleZERO buildings with varied climates and occupancy, stepped
 // sharded across cores, with the per-building memory cost and the
-// aggregate stepping rate measured on the way.
+// aggregate stepping rate on the way.
 type FleetScaleResult struct {
 	Buildings int
 	Shards    int
 	SimHours  float64
-	// BytesPerBuilding is the GC-settled live-heap cost per instantiated
-	// building, measured at construction.
+	// BytesPerBuilding is the live-heap cost per building at
+	// construction as fleet.Config.BytesPerBuilding computes it from the
+	// config. It is not measured here: the fleet tests pin the computation
+	// against a GC-settled measurement, and the run forces no collection.
 	BytesPerBuilding int64
 	// BuildingTicksPerSec is the aggregate stepping rate: simulated
 	// building-seconds per wall-clock second over the whole run. Unlike

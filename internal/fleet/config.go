@@ -20,6 +20,7 @@ import (
 	"bubblezero/internal/fault"
 	"bubblezero/internal/runner"
 	"bubblezero/internal/thermal"
+	"bubblezero/internal/trace"
 )
 
 // Variation bounds the deterministic per-building parameter draws. Zero
@@ -71,9 +72,10 @@ type Config struct {
 	// as per-instance overrides, so all buildings share this one config
 	// (validated once, behind a core.Shared handle).
 	Base core.Config
-	// MemBudgetBytes caps the measured live-heap bytes per building at
-	// construction; New fails when the fleet exceeds it. 0 disables the
-	// check. Must be >= 0.
+	// MemBudgetBytes caps the live-heap bytes per building at
+	// construction, as BytesPerBuilding computes them from this config;
+	// New fails before building anything when the size exceeds it. 0
+	// disables the check. Must be >= 0.
 	MemBudgetBytes int64
 	// SampleEvery enables trace recording on every k-th building
 	// (indices 0, k, 2k, …). 0 records no traces anywhere — the fleet
@@ -147,6 +149,48 @@ func (c Config) Validate() error {
 		return err
 	}
 	return c.Base.Validate()
+}
+
+// Live-heap bytes of one building at construction, GC-settled, for the
+// DefaultConfig building template on a 64-bit host.
+// TestBytesPerBuildingMatchesHeap pins both against a measurement of 64
+// buildings, so a change that grows the building fails a test.
+const (
+	// buildingBytes is an untraced building: physics, sensor network
+	// (with its per-tick buffers reserved), controllers and an empty
+	// recorder.
+	buildingBytes = 39_650
+	// tracedBytes is what tracing adds before the first sample: the
+	// core.TracedSeries series handles, without storage.
+	tracedBytes = 3_600
+)
+
+// BytesPerBuilding returns the live-heap bytes one building of the fleet
+// costs at construction, averaged over the fleet. Every building costs
+// the untraced base. Each sampled building (indices 0, k, 2k, … for
+// SampleEvery k) adds its traced series and, with a SampleRetention, the
+// ring each series gets up front (trace.RingBytes). With unbounded
+// retention a series holds no storage before its first sample, so the
+// size counts none; each series then takes a 128 KiB chunk per 8,192
+// samples. The base is the DefaultConfig template's building: a Base
+// that turns on TrackExact or a FaultPlan adds per-building state the
+// size does not count.
+func (c Config) BytesPerBuilding() int64 {
+	n := int64(c.Buildings)
+	if n <= 0 {
+		return 0
+	}
+	total := n * buildingBytes
+	if k := int64(c.SampleEvery); k > 0 {
+		sampled := (n + k - 1) / k
+		total += sampled * (tracedBytes + core.TracedSeries*trace.RingBytes(c.SampleRetention))
+	}
+	return total / n
+}
+
+// sampled reports whether building i records traces.
+func (c *Config) sampled(i int) bool {
+	return c.SampleEvery > 0 && i%c.SampleEvery == 0
 }
 
 // BuildingParams is the deterministic parameterisation of one building:

@@ -30,10 +30,9 @@ type Fleet struct {
 	buildings []*core.System   // index order, buildings[i] is building i
 	pool      *runner.Pool
 
-	epochTicks       uint64
-	step             time.Duration
-	ticks            uint64 // ticks advanced so far
-	bytesPerBuilding int64  // measured live-heap delta at construction
+	epochTicks uint64
+	step       time.Duration
+	ticks      uint64 // ticks advanced so far
 
 	// Live-mutation queue and journal (event.go). evMu guards both:
 	// Apply may race RunTicks, which drains the queue at epoch
@@ -44,11 +43,16 @@ type Fleet struct {
 }
 
 // New validates cfg, instantiates the fleet's buildings in parallel, and
-// partitions them into shards. Construction measures the live-heap cost
-// per building and fails if it exceeds cfg.MemBudgetBytes.
+// partitions them into shards. It fails before building anything when
+// cfg's computed size per building (Config.BytesPerBuilding) exceeds
+// cfg.MemBudgetBytes.
 func New(ctx context.Context, cfg Config) (*Fleet, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if size := cfg.BytesPerBuilding(); cfg.MemBudgetBytes > 0 && size > cfg.MemBudgetBytes {
+		return nil, fmt.Errorf("fleet: %d buildings cost %d B/building live heap, over the %d B budget",
+			cfg.Buildings, size, cfg.MemBudgetBytes)
 	}
 	nShards := cfg.Shards
 	if nShards == 0 {
@@ -75,13 +79,6 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 		step:       cfg.Base.Step,
 	}
 
-	// Live-heap cost per building: GC-settled HeapAlloc delta across the
-	// construction of all N buildings, amortized. This is the number the
-	// memory budget gates and the fleet benchmark reports.
-	var before runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-
 	// Buildings are independent, so construction parallelises across the
 	// same pool that will step them. Each job writes only its own slot.
 	if err := f.pool.ForEach(ctx, cfg.Buildings, func(_ context.Context, i int) error {
@@ -93,17 +90,6 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 		return nil
 	}); err != nil {
 		return nil, err
-	}
-
-	var after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	if d := int64(after.HeapAlloc) - int64(before.HeapAlloc); d > 0 {
-		f.bytesPerBuilding = d / int64(cfg.Buildings)
-	}
-	if cfg.MemBudgetBytes > 0 && f.bytesPerBuilding > cfg.MemBudgetBytes {
-		return nil, fmt.Errorf("fleet: %d buildings cost %d B/building live heap, over the %d B budget",
-			cfg.Buildings, f.bytesPerBuilding, cfg.MemBudgetBytes)
 	}
 
 	// Contiguous block partition: shard s owns [s*N/S, (s+1)*N/S). Block
@@ -154,7 +140,7 @@ func newBuilding(cfg *Config, quiet, sampled *core.Shared, i int) (*core.System,
 		}
 	}
 	sh := quiet
-	isSampled := cfg.SampleEvery > 0 && i%cfg.SampleEvery == 0
+	isSampled := cfg.sampled(i)
 	if isSampled {
 		sh = sampled
 	}
@@ -251,10 +237,10 @@ func (f *Fleet) Ticks() uint64 { return f.ticks }
 // Building returns building i.
 func (f *Fleet) Building(i int) *core.System { return f.buildings[i] }
 
-// BytesPerBuilding returns the measured live-heap bytes per building at
-// construction (GC-settled HeapAlloc delta across instantiation,
-// amortized over N).
-func (f *Fleet) BytesPerBuilding() int64 { return f.bytesPerBuilding }
+// BytesPerBuilding returns the fleet's computed live-heap size per
+// building at construction, Config.BytesPerBuilding of its config. It is
+// computed, not measured: construction forces no garbage collection.
+func (f *Fleet) BytesPerBuilding() int64 { return f.cfg.BytesPerBuilding() }
 
 // Stats is a fleet-wide aggregate, accumulated in building-index order so
 // the float sums are deterministic.

@@ -259,11 +259,10 @@ func TestFleetMixedShardBitIdenticalToStandalone(t *testing.T) {
 }
 
 // TestFleetTickSteadyStateAllocs pins the fleet tick allocation-free in
-// steady state: once histograms have learned their variance ranges and
-// the cadence-wheel and network backings have grown, an entire epoch
-// allocates only the worker-pool dispatch scaffolding (the per-epoch
-// jobs slice and its closures — 3 objects on the single-shard fast
-// path), independent of the tick count covered.
+// steady state: once histograms have learned their variance ranges, an
+// entire epoch allocates only the worker-pool dispatch scaffolding (the
+// per-epoch jobs slice and its closures — 3 objects on the single-shard
+// fast path), independent of the tick count covered.
 func TestFleetTickSteadyStateAllocs(t *testing.T) {
 	cfg := DefaultConfig(12)
 	cfg.Shards = 1
@@ -285,6 +284,32 @@ func TestFleetTickSteadyStateAllocs(t *testing.T) {
 	})
 	if avg > 4 {
 		t.Errorf("steady-state fleet epoch allocated %.1f objects, want <= 4 (dispatch scaffolding only)", avg)
+	}
+}
+
+// TestFleetFirstTicksAllocateNothing pins stepping allocation-free from
+// a new fleet's first tick: the due-wheel threads its slots through its
+// entries, and each network reserves its per-tick buffers as its nodes
+// join, so nothing a building steps with grows after New. Grown during
+// the run, they would be about 14 KB per building over the first 64
+// ticks, and in an 8,192-building fleet that garbage can set off a
+// collection of the whole fleet's heap while it is being timed.
+func TestFleetFirstTicksAllocateNothing(t *testing.T) {
+	cfg := DefaultConfig(16)
+	cfg.Shards = 1
+	f, err := New(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = f.RunTicks(context.Background(), 64) // one epoch
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("RunTicks: %v", err)
+	}
+	if n := after.Mallocs - before.Mallocs; n > 4 {
+		t.Errorf("the first 64 ticks of 16 buildings allocated %d objects, want <= 4 (dispatch scaffolding only)", n)
 	}
 }
 

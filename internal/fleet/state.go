@@ -54,7 +54,9 @@ func (f *Fleet) ExportState() (State, error) {
 // re-schedules the same timeline closures at the same absolute instants,
 // and each engine's restore then drops exactly the prefix that had
 // already fired before the snapshot. Structural mismatches are reported
-// before any building is mutated.
+// before any building is mutated, among them a trace series whose
+// retention is not the one construction gave it: the rebuilt rings are
+// refilled in place, and a snapshot cannot size a ring of its own.
 func (f *Fleet) RestoreState(st State) error {
 	if f.ticks != 0 || len(f.Journal()) != 0 {
 		return fmt.Errorf("fleet: restore target must be freshly constructed (ticks=%d)", f.ticks)
@@ -62,6 +64,18 @@ func (f *Fleet) RestoreState(st State) error {
 	if len(st.Buildings) != len(f.buildings) {
 		return fmt.Errorf("fleet: fleet has %d buildings, snapshot has %d",
 			len(f.buildings), len(st.Buildings))
+	}
+	for i := range st.Buildings {
+		want := 0
+		if f.cfg.sampled(i) {
+			want = f.cfg.SampleRetention
+		}
+		for _, ss := range st.Buildings[i].Recorder.Series {
+			if ss.Retention != want {
+				return fmt.Errorf("fleet: building %d series %q: retention %d, the fleet keeps %d",
+					i, ss.Name, ss.Retention, want)
+			}
+		}
 	}
 	for i, ae := range st.Journal {
 		if ae.Event.Kind != EventFault {

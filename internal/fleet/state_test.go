@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"bubblezero/internal/core"
 	"bubblezero/internal/fault"
+	"bubblezero/internal/trace"
 )
 
 // snapshotCfg is the round-trip scenario: a small sharded fleet with full
@@ -247,5 +249,23 @@ func TestFleetRestoreRejectsMismatch(t *testing.T) {
 	}
 	if err := tgt.RestoreState(st); err == nil || !strings.Contains(err.Error(), "buildings") {
 		t.Fatalf("restore into wrong-size fleet: err = %v, want building-count guard", err)
+	}
+
+	// A series that asks for a ring of its own size: refused before any
+	// building is touched, so the same fleet still takes the intact state.
+	resized := st
+	resized.Buildings = append([]core.SystemState(nil), st.Buildings...)
+	rs := &resized.Buildings[3].Recorder
+	rs.Series = append([]trace.SeriesState(nil), rs.Series...)
+	rs.Series[0].Retention = 1 << 40
+	fresh, err := New(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := fresh.RestoreState(resized); err == nil || !strings.Contains(err.Error(), "building 3 series") {
+		t.Fatalf("restore of a resized series: err = %v, want retention guard", err)
+	}
+	if err := fresh.RestoreState(st); err != nil {
+		t.Fatalf("restore after a refused one: %v", err)
 	}
 }

@@ -81,17 +81,23 @@ type Engine struct {
 	always  []*entry // every-tick and on-demand entries, registration order
 	wheel   dueWheel // cadenced entries, hashed by due tick
 
-	env *Env // built by the first RunTicks, reused by every later one
+	// env is the view every Step receives. It is immutable (clock and RNG
+	// pointers, fixed dt), so one instance serves the engine's life:
+	// fleets running thousands of engines would otherwise pay one
+	// allocation per engine per run.
+	env *Env
 }
 
 // NewEngine returns an engine over the given clock and seed.
 func NewEngine(clock *Clock, seed uint64) *Engine {
-	return &Engine{
+	e := &Engine{
 		clock:    clock,
 		rng:      NewRNG(seed),
 		timeline: NewTimeline(),
 		dtS:      clock.Step().Seconds(),
 	}
+	e.env = NewEnv(e.clock, e.rng)
+	return e
 }
 
 // Clock returns the engine clock.
@@ -153,13 +159,6 @@ func (e *Engine) RunFor(ctx context.Context, d time.Duration) error {
 //
 //bzlint:hotpath
 func (e *Engine) RunTicks(ctx context.Context, n uint64) error {
-	// An Env is an immutable view (clock pointer, RNG pointer, fixed dt), so
-	// one instance serves every run for the engine's life — fleets running
-	// thousands of engines per epoch would otherwise pay one allocation per
-	// engine per epoch.
-	if e.env == nil {
-		e.env = NewEnv(e.clock, e.rng)
-	}
 	env := e.env
 	ctxCheckEvery := e.ctxCheckEvery()
 	for i := uint64(0); i < n; i++ {

@@ -58,7 +58,7 @@ func (r *Registration) Suspend() {
 	ent := r.ent
 	if !ent.suspended && ent.cad != nil {
 		if now := r.e.clock.Tick(); ent.doneThrough < now {
-			ent.cad.StepN(NewEnv(r.e.clock, r.e.rng), now-ent.doneThrough)
+			ent.cad.StepN(r.e.env, now-ent.doneThrough)
 			ent.doneThrough = now
 		}
 	}
@@ -99,7 +99,7 @@ func (e *Engine) Register(c Component, opts ...RegOption) *Registration {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	ent := &entry{c: c, idx: len(e.entries), regTick: e.clock.Tick()}
+	ent := &entry{c: c, idx: int32(len(e.entries)), regTick: e.clock.Tick()}
 	reg := &Registration{e: e, ent: ent, faultable: o.faultable}
 	if o.onDemand {
 		ent.onDemand = true

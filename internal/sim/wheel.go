@@ -36,16 +36,12 @@ type Cadenced interface {
 }
 
 // entry is the engine-side scheduling record for one registered component.
+// idx and the flags share one word, which keeps an entry in the 80-byte
+// size class with its wheel link.
 type entry struct {
 	c   Component
 	cad Cadenced // non-nil for due-wheel entries
-	idx int      // registration index: the data-flow step order
-
-	// nextDue is the absolute tick of the next due step and doneThrough
-	// the number of ticks already applied to the component (ticks
-	// [0, doneThrough) are covered). Wheel entries only.
-	nextDue     uint64
-	doneThrough uint64
+	idx int32    // registration index: the data-flow step order
 
 	onDemand bool // stepped only on ticks it was woken for
 	woken    bool
@@ -54,8 +50,16 @@ type entry struct {
 	// wheel polls, catch-up) until their Registration resumes them.
 	suspended bool
 
+	// nextDue is the absolute tick of the next due step and doneThrough
+	// the number of ticks already applied to the component (ticks
+	// [0, doneThrough) are covered). Wheel entries only.
+	nextDue     uint64
+	doneThrough uint64
+
 	steps   uint64 // due-tick activations
 	regTick uint64 // clock tick at registration, for skip accounting
+
+	next *entry // the entry after this one in its wheel slot
 }
 
 // wheelSlots is the hashed wheel's horizon in ticks. Power of two, so the
@@ -69,17 +73,31 @@ const wheelSlots = 64
 // the entries due on that tick (entries are only ringed when their due
 // tick is less than a full horizon away, so a slot can never hold a
 // not-yet-due entry when the engine visits it).
+//
+// Each slot is a list threaded through the entries' next fields, so
+// ringing an entry never allocates and the wheel holds no per-slot
+// storage. The one buffer, batch, holds the entries takeDue hands out;
+// push grows it with the entry count, which only registration raises, so
+// an engine allocates nothing for its wheel once its components are
+// registered.
 type dueWheel struct {
-	slots [wheelSlots][]*entry
+	slots [wheelSlots]wheelSlot
 	far   farHeap
-	spare []*entry // rotates with slot backings so takeDue never allocates
+	batch []*entry // takeDue's result, reused every tick
 	count int      // total entries in slots + far
 }
+
+// wheelSlot is one slot's list, in the order its entries were ringed.
+type wheelSlot struct{ head, tail *entry }
 
 // push schedules ent (whose nextDue is already set) relative to the
 // current tick.
 func (w *dueWheel) push(ent *entry, tick uint64) {
 	w.count++
+	if w.count > cap(w.batch) {
+		// The batch being stepped, if any, keeps its old backing.
+		w.batch = make([]*entry, 0, 2*w.count)
+	}
 	if ent.nextDue-tick < wheelSlots {
 		w.ring(ent)
 		return
@@ -87,22 +105,16 @@ func (w *dueWheel) push(ent *entry, tick uint64) {
 	w.far.push(ent)
 }
 
-// ring appends ent to its slot. Slot backings rotate through takeDue's
-// spare buffer, so with plain append-doubling each of the ~wheelSlots+1
-// circulating backings would re-allocate several times on its way up from
-// empty — tens of thousands of steady-state allocations across a fleet of
-// engines. A slot can never hold more than the wheel's total entry count,
-// so on growth the backing jumps straight to that capacity: at most one
-// allocation per circulating backing for the engine's life.
+// ring appends ent to its slot's list.
 func (w *dueWheel) ring(ent *entry) {
-	s := ent.nextDue & (wheelSlots - 1)
-	slot := w.slots[s]
-	if len(slot) == cap(slot) {
-		grown := make([]*entry, len(slot), w.count)
-		copy(grown, slot)
-		slot = grown
+	s := &w.slots[ent.nextDue&(wheelSlots-1)]
+	ent.next = nil
+	if s.tail == nil {
+		s.head = ent
+	} else {
+		s.tail.next = ent
 	}
-	w.slots[s] = append(slot, ent)
+	s.tail = ent
 }
 
 // takeDue removes and returns the entries due on tick, sorted by
@@ -114,16 +126,18 @@ func (w *dueWheel) takeDue(tick uint64) []*entry {
 	for len(w.far) > 0 && w.far[0].nextDue-tick < wheelSlots {
 		w.ring(w.far.pop())
 	}
-	s := tick & (wheelSlots - 1)
-	due := w.slots[s]
-	if len(due) == 0 {
+	s := &w.slots[tick&(wheelSlots-1)]
+	if s.head == nil {
 		return nil
 	}
-	// Hand the slot a fresh backing (the processed buffer from last time)
-	// before stepping: an entry rescheduled exactly one horizon ahead
-	// lands back in this same slot and must not join the batch in flight.
-	w.slots[s] = w.spare[:0]
-	w.spare = due
+	// Empty the slot before stepping: an entry rescheduled exactly one
+	// horizon ahead lands back in this same slot and must not join the
+	// batch in flight.
+	due := w.batch[:0]
+	for ent := s.head; ent != nil; ent = ent.next {
+		due = append(due, ent)
+	}
+	*s = wheelSlot{}
 	w.count -= len(due)
 	// Entries arrive grouped by the tick that scheduled them, so the
 	// batch is a handful of idx-sorted runs; insertion sort restores the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -328,5 +329,31 @@ func TestFarHorizonCadence(t *testing.T) {
 	}
 	if slow.ticks != 450 || fast.ticks != 450 {
 		t.Errorf("bookkeeping covers %d/%d ticks, want 450/450", slow.ticks, fast.ticks)
+	}
+}
+
+// TestWheelAllocatesNothingAfterRegistration pins the wheel's slot lists:
+// once its components are registered, an engine steps cadenced ones
+// without allocating, from its first tick on. A fleet steps thousands of
+// engines, and slot storage grown while they run is tens of MB of
+// garbage in a large fleet's first ticks: enough to set off a collection
+// of the whole fleet's heap while it is being timed.
+func TestWheelAllocatesNothingAfterRegistration(t *testing.T) {
+	e := NewEngine(MustClock(testStart, time.Second), 1)
+	e.Register(ComponentFunc{ID: "plant", Fn: func(*Env) {}})
+	const ticks = 1000
+	for i, periodS := range []float64{2, 2, 3, 3, 4, 5, 5, 7, 90, 200} {
+		e.Register(&accumCadenced{name: fmt.Sprintf("dev%d", i), periodS: periodS,
+			fires: make([]uint64, 0, ticks)})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := e.RunTicks(context.Background(), ticks)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("%d ticks allocated %d times, want 0", ticks, n)
 	}
 }

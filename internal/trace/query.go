@@ -106,9 +106,22 @@ func (s *Series) Query(q Query, dst []QueryPoint) ([]QueryPoint, error) {
 	last := int64(q.To.Sub(q.From) / q.Step) // index of the final bucket
 	n := s.Len()
 
+	// Samples before From only feed bucket 0's carry, and only the last
+	// of them counts: a binary search skips the rest, so a window late in
+	// a long series costs its own samples, not the history before it.
+	i, hi := 0, n
+	for i < hi {
+		mid := int(uint(i+hi) >> 1)
+		if s.at(mid).nanos < fromN {
+			i = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	i = max(i-1, 0)
+
 	// One forward sweep: i consumes samples in time order; samples before
 	// a bucket's window still advance the AggLast carry.
-	i := 0
 	var carry float64
 	haveCarry := false
 	for k := int64(0); k <= last; k++ {

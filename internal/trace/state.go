@@ -231,7 +231,9 @@ func (ss *SeriesState) check() error {
 // all). Every series is checked before any is written, so a malformed
 // state returns an error and leaves the recorder as it was. A ring state
 // holding more samples than its retention keeps the most recent ones, as
-// appending them one by one would.
+// appending them one by one would. A series whose ring already has the
+// state's retention as its capacity, as a rebuilt fleet's sampled series
+// do, is refilled in place rather than given a second ring.
 func (r *Recorder) RestoreState(st RecorderState) error {
 	for i := range st.Series {
 		if err := st.Series[i].check(); err != nil {
@@ -240,6 +242,7 @@ func (r *Recorder) RestoreState(st RecorderState) error {
 	}
 	for _, ss := range st.Series {
 		s := r.Series(ss.Name)
+		ring := s.ring
 		s.chunks = nil
 		s.retain, s.ring, s.head, s.rlen = 0, nil, 0, 0
 		nanos, values := ss.Nanos, ss.Values
@@ -247,7 +250,10 @@ func (r *Recorder) RestoreState(st RecorderState) error {
 			if d := len(nanos) - ss.Retention; d > 0 {
 				nanos, values = nanos[d:], values[d:]
 			}
-			s.ring = make([]point, len(nanos), ss.Retention)
+			if cap(ring) != ss.Retention {
+				ring = make([]point, 0, ss.Retention)
+			}
+			s.ring = ring[:len(nanos)]
 			restorePoints(s.ring, nanos, values)
 			s.retain, s.rlen = ss.Retention, len(nanos)
 			continue

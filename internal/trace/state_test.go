@@ -105,6 +105,63 @@ func TestRecorderRestoreStateRejects(t *testing.T) {
 	}
 }
 
+// A restore into a series whose ring already has the state's retention,
+// as a rebuilt fleet's sampled series have, refills that ring: the same
+// backing array, the same WriteExact bytes as the exporter, and no
+// allocation. A ring of another capacity is replaced, and a malformed
+// state still leaves the refillable ring untouched.
+func TestRecorderRestoreStateRefillsRing(t *testing.T) {
+	src := NewRecorder()
+	src.Series("r").SetRetention(8)
+	for i := 0; i < 13; i++ { // wraps the ring
+		if err := src.Series("r").Append(t0.Add(time.Duration(i)*time.Second), float64(i)/3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := src.ExportState()
+	var want strings.Builder
+	if err := src.WriteExact(&want); err != nil {
+		t.Fatal(err)
+	}
+
+	dst := NewRecorder()
+	dst.Series("r").SetRetention(8)
+	ring := &dst.Series("r").ring[:1][0]
+	bad := RecorderState{Series: []SeriesState{st.Series[0], {Name: "x", Nanos: []int64{2, 1}, Values: []float64{0, 0}}}}
+	if err := dst.RestoreState(bad); err == nil {
+		t.Fatal("RestoreState accepted decreasing timestamps")
+	}
+	if s := dst.Series("r"); s.Len() != 0 || &s.ring[:1][0] != ring {
+		t.Fatalf("rejected state changed the ring: len %d", s.Len())
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := dst.RestoreState(st); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("refilling restore allocates %.0f times, want 0", allocs)
+	}
+	if &dst.Series("r").ring[:1][0] != ring {
+		t.Error("restore replaced a ring that already had the state's retention")
+	}
+	var got strings.Builder
+	if err := dst.WriteExact(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("refilled ring WriteExact:\n%s\nwant\n%s", got.String(), want.String())
+	}
+
+	other := NewRecorder()
+	other.Series("r").SetRetention(16)
+	if err := other.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	if s := other.Series("r"); cap(s.ring) != 8 || s.retain != 8 {
+		t.Errorf("restore into a 16-slot ring: cap %d, retention %d; want 8 and 8", cap(s.ring), s.retain)
+	}
+}
+
 // ExportState allocates per series, never per sample: the same count at 10
 // and at 5000 samples per series, at most the series slice plus two
 // columns per series.

@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -169,6 +171,126 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if !strings.HasSuffix(lines[1], ",") {
 		t.Errorf("missing series should render empty cell: %q", lines[1])
+	}
+}
+
+// rowByRowCSV is the CSV export as it was first written, kept as the
+// reference the blocked writer must match byte for byte: one full-window
+// AggLast query per column, and every row built by string concatenation.
+func rowByRowCSV(r *Recorder, names []string, from, to time.Time, period time.Duration) (string, error) {
+	var w strings.Builder
+	header := "elapsed_s"
+	for _, n := range names {
+		header += "," + n
+	}
+	fmt.Fprintln(&w, header)
+	if to.Before(from) {
+		return w.String(), nil
+	}
+	q := Query{From: from, To: to, Step: period, Agg: AggLast}
+	cols := make([][]QueryPoint, len(names))
+	for i, n := range names {
+		s, ok := r.series[n]
+		if !ok {
+			continue
+		}
+		pts, err := s.Query(q, nil)
+		if err != nil {
+			return "", err
+		}
+		cols[i] = pts
+	}
+	rows := int(to.Sub(from)/period) + 1
+	for k := 0; k < rows; k++ {
+		row := strconv.FormatFloat((time.Duration(k) * period).Seconds(), 'f', 1, 64)
+		for _, col := range cols {
+			row += ","
+			if col != nil && col[k].OK {
+				row += strconv.FormatFloat(col[k].Value, 'f', 4, 64)
+			}
+		}
+		fmt.Fprintln(&w, row)
+	}
+	return w.String(), nil
+}
+
+// WriteCSV's blocks and reused buffers change no byte: windows that start
+// before, inside and after the data, span several row blocks and flushes,
+// and read a wrapped ring, chunked history past a chunk boundary, an
+// unknown series and a repeated one all match the row-by-row reference.
+func TestWriteCSVMatchesRowByRow(t *testing.T) {
+	r := NewRecorder()
+	ring := r.Series("ring")
+	ring.SetRetention(500)
+	long := r.Series("long")
+	for i := 0; i < chunkSize+700; i++ {
+		at := t0.Add(time.Duration(i) * 3 * time.Second)
+		if err := long.Append(at, math.Sin(float64(i))*30); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			if err := ring.Append(at, float64(i)/7); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	names := []string{"ring", "missing", "long", "ring"}
+	for _, tc := range []struct {
+		name     string
+		from, to time.Time
+		period   time.Duration
+	}{
+		{"before the data", t0.Add(-time.Hour), t0.Add(time.Hour), 7 * time.Second},
+		{"every row block", t0, t0.Add(30 * time.Hour), 10 * time.Second},
+		{"late window", t0.Add(20 * time.Hour), t0.Add(21 * time.Hour), 1500 * time.Millisecond},
+		{"after the data", t0.Add(40 * time.Hour), t0.Add(41 * time.Hour), time.Minute},
+		{"one row", t0.Add(time.Hour), t0.Add(time.Hour), time.Second},
+		{"inverted", t0.Add(time.Hour), t0, time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := rowByRowCSV(r, names, tc.from, tc.to, tc.period)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got strings.Builder
+			if err := r.WriteCSV(&got, names, tc.from, tc.to, tc.period); err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != want {
+				t.Fatalf("WriteCSV differs from the row-by-row reference (%d vs %d bytes)", got.Len(), len(want))
+			}
+		})
+	}
+}
+
+// A query that starts late in a long series skips the history before it
+// and still matches the same buckets read from a window that starts at
+// the first sample, in every aggregate.
+func TestQueryLateWindowMatchesFullSweep(t *testing.T) {
+	s := NewRecorder().Series("q")
+	for i := 0; i < 3*chunkSize; i++ {
+		if err := s.Append(t0.Add(time.Duration(i/3)*time.Second), float64(i%17)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const skip = 5000 // buckets between the two windows' starts
+	for _, agg := range []Agg{AggLast, AggMin, AggMax, AggMean} {
+		full, err := s.Query(Query{From: t0, To: t0.Add(9000 * time.Second), Step: time.Second, Agg: agg}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		late, err := s.Query(Query{From: t0.Add(skip * time.Second), To: t0.Add(9000 * time.Second), Step: time.Second, Agg: agg}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, p := range late {
+			if k == 0 && agg != AggLast {
+				continue // bucket 0 covers only its own instant
+			}
+			if q := full[skip+k]; p != q {
+				t.Fatalf("%v bucket %d: late window %+v, full window %+v", agg, k, p, q)
+			}
+		}
 	}
 }
 

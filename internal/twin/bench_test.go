@@ -1,14 +1,17 @@
 package twin_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"bubblezero/internal/fleet"
 	"bubblezero/internal/twin"
 )
 
@@ -116,4 +119,29 @@ func BenchmarkHTTPQuery(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+}
+
+// BenchmarkCreateBesideLiveFleet times creating a 64-building twin with
+// retention 960, the bench twins' shape, while the process holds a live
+// 4,096-building fleet (about 160 MiB of heap). A collection forced at
+// construction would scan that fleet on every create; a create should
+// cost what the new twin costs.
+func BenchmarkCreateBesideLiveFleet(b *testing.B) {
+	ctx := context.Background()
+	live, err := fleet.New(ctx, fleet.DefaultConfig(4096))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := twin.Config{Buildings: 64, SampleRetention: 960}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tw, err := twin.NewTwin(ctx, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tw.Close()
+	}
+	b.StopTimer()
+	runtime.KeepAlive(live)
 }

@@ -63,10 +63,11 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 }
 
 // ReadSnapshot decodes a WriteSnapshot stream. It checks the header's
-// version before reading anything else, then reads exactly the
-// Config.Buildings building messages the header announces. The count is
-// untrusted, so nothing is allocated from it: each building is decoded,
-// then appended, and a short stream fails at the first missing one.
+// version before reading anything else, and the header's config before
+// decoding any building, then reads exactly the Config.Buildings building
+// messages the header announces. The count is untrusted, so nothing is
+// allocated from it: each building is decoded, then appended, and a short
+// stream fails at the first missing one.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	dec := gob.NewDecoder(r)
 	var s Snapshot
@@ -81,6 +82,9 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 	if s.Config.Buildings < 0 {
 		return nil, fmt.Errorf("twin: decode snapshot: negative building count %d", s.Config.Buildings)
+	}
+	if _, err := s.Config.FleetConfig(); err != nil {
+		return nil, fmt.Errorf("twin: decode snapshot: %w", err)
 	}
 	for i := 0; i < s.Config.Buildings; i++ {
 		var b core.SystemState

@@ -896,6 +896,8 @@ func TestReadSnapshotRejectsBadStreams(t *testing.T) {
 	withBuildings.State.Buildings = buildings
 	negative := head
 	negative.Config.Buildings = -1
+	badConfig := head
+	badConfig.Config.SampleRetention = -1
 	v2 := *snap
 	v2.Version = 2
 	var v2Body, v2Wire bytes.Buffer
@@ -920,6 +922,9 @@ func TestReadSnapshotRejectsBadStreams(t *testing.T) {
 		{"cut one building short", fmt.Sprintf("building %d of %d", n-1, n), snapshotStream(t, head, buildings[:n-1])},
 		{"header carries buildings", fmt.Sprintf("header carries %d buildings", n), snapshotStream(t, withBuildings, buildings)},
 		{"negative building count", "negative building count", snapshotStream(t, negative, nil)},
+		// Rejected at the header: the buildings that follow are intact, so
+		// decoding them would have succeeded.
+		{"invalid config", "SampleRetention must be >= 0", snapshotStream(t, badConfig, buildings)},
 		{"version 2 layout", "version 2", v2Body.Bytes()},
 		// A v2 build's series are plain structs, so gob refuses the body
 		// before its version can be read.

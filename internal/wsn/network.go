@@ -193,11 +193,6 @@ func NewNetwork(cfg Config, rng *rand.Rand) (*Network, error) {
 		cfg:   cfg,
 		rng:   rng,
 		nodes: make(map[NodeID]*Node),
-		// The pending queue is bounded by the transmitters that share a
-		// tick — a handful for the paper's building. Pre-sizing it keeps
-		// the append-doubling warm-up (nil→1→2→4→8) out of the stepping
-		// path, which the fleet pins allocation-free in steady state.
-		pending: make([]pendingTx, 0, 16),
 	}, nil
 }
 
@@ -217,7 +212,25 @@ func (n *Network) AddNode(id NodeID, class PowerClass) (*Node, error) {
 		n.acCount++
 	}
 	n.nodes[id] = node
+	n.reserve(len(n.nodes))
 	return node, nil
+}
+
+// reserve sizes the pending queue and Step's scratch buffers for k
+// packets in one tick, doubling when they are outgrown. A node sends at
+// most one packet per tick, so AddNode reserves a slot per node and a
+// built network steps without allocating. Grown on demand, the buffers
+// of a fleet's thousands of networks would be tens of MB of garbage in
+// its first simulated minute.
+func (n *Network) reserve(k int) {
+	if k <= cap(n.pending) {
+		return
+	}
+	c := 2 * k
+	n.pending = append(make([]pendingTx, 0, c), n.pending...)
+	n.starts = make([]float64, 0, c)
+	n.order = make([]int32, 0, c)
+	n.collided = make([]bool, 0, c)
 }
 
 // NodeCount returns the number of registered nodes.
