@@ -56,9 +56,12 @@ race-fault:
 
 # The twin's lock discipline under the race detector, ten times over:
 # readers share the fleet lock while the runner and snapshots hold it
-# alone, and status reads take only the run-queue lock.
+# alone, and status reads take only the run-queue lock. The snapshot
+# round trips run here too, because a fleet exports and restores its
+# buildings on its worker pool.
 race-twin:
-	$(GO) test -race -count=10 -run 'StatusDoesNotWait|ReadersWhileRunning' ./internal/twin
+	$(GO) test -race -count=10 -run 'StatusDoesNotWait|ReadersWhileRunning|TestTwinSnapshotRoundTrip|TestServerSnapshotRestoreAcrossServers' ./internal/twin
+	$(GO) test -race -count=10 -run 'TestFleetSnapshotRoundTrip|TestFleetStateErrorsNameLowestBuilding' ./internal/fleet
 
 # Every benchmark once — correctness of the benchmark harness, not timing.
 bench-smoke:
@@ -118,12 +121,13 @@ bench-http-json:
 # body through ReadSnapshot and RestoreTwin. `go test` fuzzes one target
 # per invocation. Each checked-in corpus (testdata/fuzz beside the
 # target) runs first; a failure found here lands there as a new
-# regression input. A snapshot input is tens of KB, and minimizing one
-# that finds new coverage can take the whole ten seconds, so that target
-# caps minimization at 100 runs.
+# regression input. Minimizing an input that finds new coverage can take
+# the whole ten seconds (a snapshot input is tens of KB, and the window
+# parser stalled at 0 executions/s), so those two targets cap
+# minimization at 100 runs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSeriesStateGobDecode$$' -fuzztime 10s ./internal/trace
-	$(GO) test -run '^$$' -fuzz '^FuzzParseWindow$$' -fuzztime 10s ./internal/twin
+	$(GO) test -run '^$$' -fuzz '^FuzzParseWindow$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/twin
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/twin
 
 # Regression gate: fail when a guarded rate (BenchmarkSystemTick ticks/s,

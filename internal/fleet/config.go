@@ -15,6 +15,7 @@ package fleet
 
 import (
 	"fmt"
+	"math/bits"
 
 	"bubblezero/internal/core"
 	"bubblezero/internal/fault"
@@ -118,8 +119,9 @@ func DefaultConfig(n int) Config {
 }
 
 // Validate checks the fleet configuration, including the fleet knobs'
-// ranges: building count > 0, shard count in [1, N] (or 0 for auto), and
-// a non-negative memory budget.
+// ranges: building count > 0, shard count in [1, N] (or 0 for auto), a
+// non-negative memory budget, and a retention whose ring Go can allocate
+// (trace.MaxRetention).
 func (c Config) Validate() error {
 	if c.Buildings <= 0 {
 		return fmt.Errorf("fleet: Buildings must be > 0, got %d", c.Buildings)
@@ -141,6 +143,10 @@ func (c Config) Validate() error {
 	}
 	if c.SampleRetention < 0 {
 		return fmt.Errorf("fleet: SampleRetention must be >= 0, got %d", c.SampleRetention)
+	}
+	if c.SampleRetention > trace.MaxRetention {
+		return fmt.Errorf("fleet: SampleRetention %d exceeds %d, the largest ring of samples Go can allocate",
+			c.SampleRetention, trace.MaxRetention)
 	}
 	if c.EpochTicks < 0 {
 		return fmt.Errorf("fleet: EpochTicks must be >= 0, got %d", c.EpochTicks)
@@ -176,16 +182,21 @@ const (
 // that turns on TrackExact or a FaultPlan adds per-building state the
 // size does not count.
 func (c Config) BytesPerBuilding() int64 {
-	n := int64(c.Buildings)
-	if n <= 0 {
+	if c.Buildings <= 0 {
 		return 0
 	}
-	total := n * buildingBytes
-	if k := int64(c.SampleEvery); k > 0 {
-		sampled := (n + k - 1) / k
-		total += sampled * (tracedBytes + core.TracedSeries*trace.RingBytes(c.SampleRetention))
+	size := int64(buildingBytes)
+	if c.SampleEvery > 0 {
+		n, k := uint64(c.Buildings), uint64(c.SampleEvery)
+		sampled := (n-1)/k + 1
+		traced := uint64(tracedBytes + core.TracedSeries*trace.RingBytes(c.SampleRetention))
+		// The fleet's total can pass int64 at a large retention; its
+		// share per building cannot, as sampled <= n.
+		hi, lo := bits.Mul64(sampled, traced)
+		share, _ := bits.Div64(hi, lo, n)
+		size += int64(share)
 	}
-	return total / n
+	return size
 }
 
 // sampled reports whether building i records traces.

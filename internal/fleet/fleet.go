@@ -33,6 +33,9 @@ type Fleet struct {
 	epochTicks uint64
 	step       time.Duration
 	ticks      uint64 // ticks advanced so far
+	// stepErr is the error that stopped an epoch part way. Buildings
+	// then stand at different ticks, and ExportState refuses them.
+	stepErr error
 
 	// Live-mutation queue and journal (event.go). evMu guards both:
 	// Apply may race RunTicks, which drains the queue at epoch
@@ -211,6 +214,7 @@ func (f *Fleet) RunTicks(ctx context.Context, n uint64) error {
 		if err := f.pool.ForEach(ctx, len(f.shards), func(ctx context.Context, s int) error {
 			return stepShard(ctx, f.shards[s], t)
 		}); err != nil {
+			f.stepErr = err
 			return err
 		}
 		f.ticks += t

@@ -15,6 +15,7 @@ import (
 	"bubblezero/internal/fault"
 	"bubblezero/internal/psychro"
 	"bubblezero/internal/thermal"
+	"bubblezero/internal/trace"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -41,6 +42,10 @@ func TestConfigValidate(t *testing.T) {
 			c.Base.TracePeriod = 15 * time.Second
 		}, ""},
 		{"negative retention", func(c *Config) { c.SampleRetention = -1 }, "SampleRetention must be >= 0"},
+		{"largest ring", func(c *Config) { c.SampleRetention = trace.MaxRetention }, ""},
+		{"unallocatable ring", func(c *Config) { c.SampleRetention = trace.MaxRetention + 1 },
+			fmt.Sprintf("SampleRetention %d exceeds", trace.MaxRetention+1)},
+		{"ring bytes overflow int64", func(c *Config) { c.SampleRetention = 1 << 60 }, "SampleRetention 1152921504606846976 exceeds"},
 		{"negative epoch", func(c *Config) { c.EpochTicks = -1 }, "EpochTicks must be >= 0"},
 		{"inverted temp range", func(c *Config) {
 			c.Vary.OutdoorTempLoC, c.Vary.OutdoorTempHiC = 34, 28

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"bubblezero/internal/core"
@@ -84,10 +85,30 @@ func TestBytesPerBuildingArithmetic(t *testing.T) {
 	for _, c := range []struct {
 		n    int
 		want int64
-	}{{0, 0}, {960, 16384}, {2048, 32768}, {4096, 65536}, {5000, 81920}} {
+	}{
+		{0, 0}, {960, 16384}, {2048, 32768}, {4096, 65536}, {5000, 81920},
+		{trace.MaxRetention, 16 * trace.MaxRetention},
+	} {
 		if got := trace.RingBytes(c.n); got != c.want {
 			t.Errorf("RingBytes(%d) = %d, want %d", c.n, got, c.want)
 		}
+	}
+
+	// At the largest ring the fleet's total passes int64 from about 1,560
+	// sampled buildings on; the size per building does not.
+	huge := DefaultConfig(100_000)
+	huge.SampleEvery = 1
+	huge.SampleRetention = trace.MaxRetention
+	want := int64(buildingBytes + tracedBytes + core.TracedSeries*16*trace.MaxRetention)
+	if got := huge.BytesPerBuilding(); got != want {
+		t.Fatalf("largest ring on every building: %d B/building, want %d", got, want)
+	}
+	huge.SampleEvery = 4 // 25,000 of the 100,000
+	if got, want := huge.BytesPerBuilding(), buildingBytes+(want-buildingBytes)/4; got != want {
+		t.Fatalf("largest ring on every fourth building: %d B/building, want %d", got, want)
+	}
+	if _, err := New(context.Background(), huge); err == nil || !strings.Contains(err.Error(), "over the 131072 B budget") {
+		t.Fatalf("New with the largest rings: err = %v, want the budget refusal", err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"bubblezero/internal/core"
@@ -25,11 +27,23 @@ type State struct {
 	Buildings []core.SystemState
 }
 
+// ErrRunFailed is wrapped in ExportState's error on a fleet whose
+// RunTicks failed part way through an epoch: its buildings stand at
+// different ticks, and no snapshot of them is consistent.
+var ErrRunFailed = errors.New("fleet: a failed run left the buildings mid-epoch")
+
 // ExportState captures the fleet's full mutable state. Events queued but
 // not yet drained are applied first, at the current epoch boundary —
 // exactly where the next RunTicks would land them — so nothing in flight
-// is silently dropped from the snapshot.
+// is silently dropped from the snapshot. The buildings export on the
+// fleet's pool, each into its own slot; a failure names the lowest
+// failing building, whatever order the workers finish in. A fleet whose
+// RunTicks failed part way through an epoch cannot be exported
+// (ErrRunFailed).
 func (f *Fleet) ExportState() (State, error) {
+	if f.stepErr != nil {
+		return State{}, fmt.Errorf("%w: %w", ErrRunFailed, f.stepErr)
+	}
 	if err := f.drainEvents(); err != nil {
 		return State{}, err
 	}
@@ -38,14 +52,34 @@ func (f *Fleet) ExportState() (State, error) {
 		Journal:   f.Journal(),
 		Buildings: make([]core.SystemState, len(f.buildings)),
 	}
-	for i, sys := range f.buildings {
-		bs, err := sys.ExportState()
-		if err != nil {
-			return State{}, fmt.Errorf("fleet: export building %d: %w", i, err)
-		}
-		st.Buildings[i] = bs
+	if err := f.forEachBuilding("export", func(i int) (err error) {
+		st.Buildings[i], err = f.buildings[i].ExportState()
+		return err
+	}); err != nil {
+		return State{}, err
 	}
 	return st, nil
+}
+
+// forEachBuilding runs fn for every building on the fleet's pool; each
+// call may touch only its own building and slot. A building's error does
+// not stop the others, and the one returned is the lowest failing
+// building's, whatever order the workers finish in. A panic stops the
+// pool and is returned as it is.
+func (f *Fleet) forEachBuilding(op string, fn func(i int) error) error {
+	errs := make([]error, len(f.buildings))
+	if err := f.pool.ForEach(context.TODO(), len(f.buildings), func(_ context.Context, i int) error {
+		errs[i] = fn(i)
+		return nil
+	}); err != nil {
+		return fmt.Errorf("fleet: %s: %w", op, err)
+	}
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("fleet: %s building %d: %w", op, i, err)
+		}
+	}
+	return nil
 }
 
 // RestoreState patches a freshly constructed Fleet to the captured point.
@@ -56,7 +90,10 @@ func (f *Fleet) ExportState() (State, error) {
 // already fired before the snapshot. Structural mismatches are reported
 // before any building is mutated, among them a trace series whose
 // retention is not the one construction gave it: the rebuilt rings are
-// refilled in place, and a snapshot cannot size a ring of its own.
+// refilled in place, and a snapshot cannot size a ring of its own. The
+// checks and the journal replay run in order; then the buildings restore
+// on the fleet's pool, each from its own slot, and a failure names the
+// lowest failing building.
 func (f *Fleet) RestoreState(st State) error {
 	if f.ticks != 0 || len(f.Journal()) != 0 {
 		return fmt.Errorf("fleet: restore target must be freshly constructed (ticks=%d)", f.ticks)
@@ -88,10 +125,10 @@ func (f *Fleet) RestoreState(st State) error {
 			return fmt.Errorf("fleet: replay journal entry %d: %w", i, err)
 		}
 	}
-	for i, sys := range f.buildings {
-		if err := sys.RestoreState(st.Buildings[i]); err != nil {
-			return fmt.Errorf("fleet: restore building %d: %w", i, err)
-		}
+	if err := f.forEachBuilding("restore", func(i int) error {
+		return f.buildings[i].RestoreState(st.Buildings[i])
+	}); err != nil {
+		return err
 	}
 	f.ticks = st.Ticks
 	f.evMu.Lock()

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -267,5 +268,66 @@ func TestFleetRestoreRejectsMismatch(t *testing.T) {
 	}
 	if err := fresh.RestoreState(st); err != nil {
 		t.Fatalf("restore after a refused one: %v", err)
+	}
+}
+
+// TestFleetStateErrorsNameLowestBuilding pins the error of an export or a
+// restore that fails on several buildings at once. The buildings run on
+// the fleet's pool in no fixed order, and the error is the lowest failing
+// building's, in the text a one-building-at-a-time walk gave. `make
+// race-twin` runs it under the race detector.
+func TestFleetStateErrorsNameLowestBuilding(t *testing.T) {
+	ctx := context.Background()
+	cfg := DefaultConfig(8)
+	cfg.Shards = 2
+	cfg.SampleEvery = 1
+	cfg.MemBudgetBytes = 0
+	src, err := New(ctx, cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := src.RunTicks(ctx, 64); err != nil {
+		t.Fatalf("RunTicks: %v", err)
+	}
+	st, err := src.ExportState()
+	if err != nil {
+		t.Fatalf("ExportState: %v", err)
+	}
+
+	// Buildings 2 and 6 lose a device; 6 also loses a broadcaster.
+	bad := st
+	bad.Buildings = append([]core.SystemState(nil), st.Buildings...)
+	devices := len(st.Buildings[2].Devices)
+	for _, i := range []int{2, 6} {
+		bad.Buildings[i].Devices = bad.Buildings[i].Devices[:devices-1]
+	}
+	bad.Buildings[6].Broadcasters = nil
+	want := fmt.Sprintf("fleet: restore building 2: core: restore: system has %d devices, snapshot has %d", devices, devices-1)
+	for round := 0; round < 20; round++ {
+		fresh, err := New(ctx, cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if err := fresh.RestoreState(bad); err == nil || err.Error() != want {
+			t.Fatalf("round %d: restore err = %v, want %q", round, err, want)
+		}
+	}
+
+	// Every building of a fleet with exact tracking refuses to export.
+	exact := cfg
+	exact.Base.TrackExact = true
+	fl, err := New(ctx, exact)
+	if err != nil {
+		t.Fatalf("New(TrackExact): %v", err)
+	}
+	_, err = fl.Building(0).ExportState()
+	if err == nil {
+		t.Fatal("a TrackExact building exported")
+	}
+	want = "fleet: export building 0: " + err.Error()
+	for round := 0; round < 20; round++ {
+		if _, err := fl.ExportState(); err == nil || err.Error() != want {
+			t.Fatalf("round %d: export err = %v, want %q", round, err, want)
+		}
 	}
 }

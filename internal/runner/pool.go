@@ -9,12 +9,18 @@
 // into caller-owned, per-index slots — and seeds are derived from (base,
 // index) alone, so the outcome of a fan-out is identical at any worker
 // count, including 1.
+//
+// A job that panics fails with an error naming the panic and carrying
+// the stack; it does not end the process. Nothing else recovers a pool
+// worker, and a caller such as a twin's runner turns the error into its
+// own failed state while the rest of the process keeps running.
 package runner
 
 import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 )
 
@@ -40,7 +46,8 @@ func NewPool(workers int) *Pool {
 // Run executes the jobs concurrently on at most Workers goroutines and
 // waits for all of them. The first error cancels the context handed to the
 // remaining jobs; jobs not yet started are skipped once an error is
-// recorded. The first error (in completion order) is returned.
+// recorded. The first error (in completion order) is returned. A job's
+// panic is that job's error.
 func (p *Pool) Run(ctx context.Context, jobs ...Job) error {
 	if len(jobs) == 0 {
 		return nil
@@ -51,7 +58,7 @@ func (p *Pool) Run(ctx context.Context, jobs ...Job) error {
 	// A single in-flight job needs no goroutines; this keeps width-1 pools
 	// (and the common one-job case) trivially deterministic to debug.
 	if len(jobs) == 1 {
-		return jobs[0](ctx)
+		return call(ctx, jobs[0])
 	}
 
 	jobCtx, cancel := context.WithCancel(ctx)
@@ -84,7 +91,7 @@ func (p *Pool) Run(ctx context.Context, jobs ...Job) error {
 				if jobCtx.Err() != nil {
 					continue // drain: an earlier job already failed
 				}
-				if err := job(jobCtx); err != nil {
+				if err := call(jobCtx, job); err != nil {
 					fail(err)
 				}
 			}
@@ -102,6 +109,17 @@ func (p *Pool) Run(ctx context.Context, jobs ...Job) error {
 		return firstErr
 	}
 	return ctx.Err()
+}
+
+// call runs job and returns its error, or the panic it raised as an error
+// with the panicking goroutine's stack.
+func call(ctx context.Context, job Job) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("panic: %v\n\n%s", v, debug.Stack())
+		}
+	}()
+	return job(ctx)
 }
 
 // ForEach runs fn for every index in [0, n) through the pool. Results

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -112,6 +113,62 @@ func TestPoolWidthIndependence(t *testing.T) {
 		if serial[i] != wide[i] {
 			t.Fatalf("slot %d differs: width-1 %d vs width-8 %d", i, serial[i], wide[i])
 		}
+	}
+}
+
+// checkPanicError requires err to name the panic value and carry the
+// stack of the goroutine that panicked, which runs through this file.
+func checkPanicError(t *testing.T, err error) {
+	t.Helper()
+	if err == nil {
+		t.Fatal("a panicking job returned no error")
+	}
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "panic: boom\n") {
+		t.Errorf("error %q does not start %q", strings.SplitN(msg, "\n", 2)[0], "panic: boom")
+	}
+	if !strings.Contains(msg, "runner_test.go") {
+		t.Errorf("error carries no stack through the job:\n%s", msg)
+	}
+}
+
+func TestPoolRecoversPanicInOneJobRun(t *testing.T) {
+	slot := 0
+	err := NewPool(4).Run(context.Background(), func(context.Context) error {
+		slot = 1
+		panic("boom")
+	})
+	checkPanicError(t, err)
+	if slot != 1 {
+		t.Errorf("slot = %d, want the job's write to stand", slot)
+	}
+}
+
+func TestPoolRecoversPanicInManyJobRun(t *testing.T) {
+	const n = 8
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprint("workers=", workers), func(t *testing.T) {
+			var slots [n]int
+			var others sync.WaitGroup
+			others.Add(n - 1)
+			// The last job dispatched waits for every other job, so none
+			// is skipped, then panics.
+			err := NewPool(workers).ForEach(context.Background(), n, func(_ context.Context, i int) error {
+				if i == n-1 {
+					others.Wait()
+					panic("boom")
+				}
+				slots[i] = i + 1
+				others.Done()
+				return nil
+			})
+			checkPanicError(t, err)
+			for i := 0; i < n-1; i++ {
+				if slots[i] != i+1 {
+					t.Errorf("slot %d = %d, want %d", i, slots[i], i+1)
+				}
+			}
+		})
 	}
 }
 

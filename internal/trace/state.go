@@ -123,11 +123,7 @@ func (ss *SeriesState) GobDecode(data []byte) error {
 	if n := r.count(1); n > 0 {
 		nanos = make([]int64, n)
 		nanos[0] = r.varint()
-		var step int64
-		for i := 1; i < n; i++ {
-			step += r.varint()
-			nanos[i] = nanos[i-1] + step
-		}
+		r.timestamps(nanos)
 	}
 	var values []float64
 	if n := r.count(8); n > 0 {
@@ -183,6 +179,32 @@ func (r *stateReader) varint() int64 {
 	}
 	r.b = r.b[k:]
 	return v
+}
+
+// timestamps fills nanos[1:] from the interval changes that follow
+// nanos[0]. A periodic series encodes nearly every change as the single
+// byte 0x00, so a one-byte zigzag varint (high bit clear) is decoded
+// inline, and only a longer one goes through varint.
+func (r *stateReader) timestamps(nanos []int64) {
+	b := r.b
+	t, step := nanos[0], int64(0)
+	for i := 1; i < len(nanos); i++ {
+		if len(b) > 0 && b[0] < 0x80 {
+			x := int64(b[0])
+			step += x>>1 ^ -(x & 1)
+			b = b[1:]
+		} else {
+			r.b = b
+			step += r.varint()
+			if r.err != nil {
+				return
+			}
+			b = r.b
+		}
+		t += step
+		nanos[i] = t
+	}
+	r.b = b
 }
 
 // count reads a length whose entries take at least size bytes each, and

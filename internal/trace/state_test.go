@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -427,6 +428,141 @@ func TestSeriesStateGobDecodeRejectsTruncatedAndTrailing(t *testing.T) {
 		if err := ss.GobDecode(append(data, 0)); err == nil || !strings.Contains(err.Error(), "trailing") {
 			t.Fatalf("%s: trailing byte: err = %v", c.name, err)
 		}
+	}
+}
+
+// decodeTimestampsByVarint decodes GobEncode's timestamp column with one
+// binary.Varint call per timestamp, the decoder's general path, as the
+// reference its one-byte fast path must agree with.
+func decodeTimestampsByVarint(tb testing.TB, data []byte) []int64 {
+	tb.Helper()
+	next := func() int64 {
+		v, k := binary.Varint(data)
+		if k <= 0 {
+			tb.Fatalf("reference decode: bad varint at %x", data)
+		}
+		data = data[k:]
+		return v
+	}
+	nameLen, k := binary.Uvarint(data)
+	data = data[k+int(nameLen):]
+	next() // retention
+	n, k := binary.Uvarint(data)
+	data = data[k:]
+	if n == 0 {
+		return nil
+	}
+	nanos := make([]int64, n)
+	nanos[0] = next()
+	var step int64
+	for i := 1; i < len(nanos); i++ {
+		step += next()
+		nanos[i] = nanos[i-1] + step
+	}
+	return nanos
+}
+
+// The decoder reads a one-byte change in the sampling interval inline and
+// a longer one through binary.Varint. Each case holds its change, its
+// negation and returns to the base interval between them. Zigzag maps
+// changes from -64 to 63 to one byte, so 64 and -65 are the first
+// two-byte cases, and each case's encoding is the expected length.
+func TestSeriesStateGobDecodeIntervalChanges(t *testing.T) {
+	const base = int64(15 * time.Second)
+	t0 := benchT0.UnixNano()
+	for _, tc := range []struct {
+		name   string
+		change int64
+		bytes  int // what change and -change take together
+	}{
+		{"0", 0, 2},
+		{"+1", 1, 2},
+		{"-1", -1, 2},
+		{"+63", 63, 2},
+		{"-63", -63, 2},
+		{"+64", 64, 3},
+		{"-64", -64, 3},
+		{"-65", -65, 4},
+		{"huge", 1 << 61, 18},
+		{"most negative", math.MinInt64 + 1, 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Intervals base, base, base+change, base+change, base, base:
+			// after the first interval the changes are 0, change, 0,
+			// -change, 0.
+			intervals := []int64{base, base, base + tc.change, base + tc.change, base, base}
+			nanos := []int64{t0}
+			for _, d := range intervals {
+				nanos = append(nanos, nanos[len(nanos)-1]+d)
+			}
+			ss := SeriesState{Name: "s", Retention: 8, Nanos: nanos, Values: make([]float64, len(nanos))}
+			data, err := ss.GobEncode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Name, retention and count; the first timestamp and interval.
+			head := 1 + len("s") + 1 + 1 + len(binary.AppendVarint(nil, t0)) + len(binary.AppendVarint(nil, base))
+			if got, want := len(data)-head-1-8*len(nanos), 3+tc.bytes; got != want {
+				t.Fatalf("timestamps take %d bytes, want %d", got, want)
+			}
+			var back SeriesState
+			if err := back.GobDecode(data); err != nil {
+				t.Fatal(err)
+			}
+			if !sameSeries(ss, back) {
+				t.Fatalf("decoded %v, want %v", back.Nanos, ss.Nanos)
+			}
+			if ref := decodeTimestampsByVarint(t, data); !slices.Equal(ref, back.Nanos) {
+				t.Fatalf("decoded %v, binary.Varint reads %v", back.Nanos, ref)
+			}
+		})
+	}
+}
+
+// A run of one-byte interval changes cut short is an error. A decoded
+// series whose timestamps decrease is not the decoder's to refuse;
+// RestoreState reports it. (A single sample, with no interval change,
+// is codecCases' "one sample".)
+func TestSeriesStateGobDecodeEdges(t *testing.T) {
+	// Ten samples 1000 ns apart: the first timestamp, the first interval
+	// (two bytes), then a run of eight one-byte changes of 0. Every cut
+	// inside the run is an error. Cut before its last byte, the count
+	// check passes (ten bytes for ten timestamps) and the run itself
+	// runs out.
+	periodic := SeriesState{Name: "p", Nanos: make([]int64, 10), Values: make([]float64, 10)}
+	for i := range periodic.Nanos {
+		periodic.Nanos[i] = int64(i) * 1000
+	}
+	data, err := periodic.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runStart = 1 + len("p") + 1 + 1 + 1 + 2 // name, retention, count, 0, 1000
+	if run := data[runStart : runStart+8]; !slices.Equal(run, make([]byte, 8)) {
+		t.Fatalf("encoding %x has no run of eight zero bytes at %d", data, runStart)
+	}
+	for cut := runStart; cut < runStart+8; cut++ {
+		var ss SeriesState
+		err := ss.GobDecode(data[:cut])
+		if err == nil {
+			t.Fatalf("cut at byte %d inside the one-byte run decoded to %+v", cut, ss)
+		}
+		if cut == runStart+7 && !strings.Contains(err.Error(), "truncated") {
+			t.Fatalf("cut before the run's last byte: err = %v, want truncated", err)
+		}
+	}
+
+	decreasing := SeriesState{Name: "down", Nanos: []int64{100, 200, 150, 250}, Values: make([]float64, 4)}
+	if data, err = decreasing.GobEncode(); err != nil {
+		t.Fatal(err)
+	}
+	var back SeriesState
+	if err := back.GobDecode(data); err != nil || !sameSeries(decreasing, back) {
+		t.Fatalf("decreasing timestamps: decoded %+v, %v", back, err)
+	}
+	err = NewRecorder().RestoreState(RecorderState{Series: []SeriesState{back}})
+	if err == nil || !strings.Contains(err.Error(), "sample 2 at 150 ns precedes sample 1 at 200 ns") {
+		t.Fatalf("RestoreState of decreasing timestamps: err = %v", err)
 	}
 }
 

@@ -521,7 +521,11 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	snap, err := t.Snapshot()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		status := http.StatusInternalServerError
+		if errors.Is(err, fleet.ErrRunFailed) {
+			status = http.StatusConflict
+		}
+		writeError(w, status, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

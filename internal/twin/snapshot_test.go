@@ -11,6 +11,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"bubblezero/internal/fleet"
 )
 
 // hashingResponse is a ResponseWriter that hashes the body instead of
@@ -114,6 +116,129 @@ func TestCreateAndRestoreForceNoCollection(t *testing.T) {
 	if n := after.NumForcedGC - before.NumForcedGC; n != 0 {
 		t.Fatalf("create, run, snapshot and restore forced %d garbage collections, want 0", n)
 	}
+}
+
+// fullRingConfig is the twin-checkpoint benchmark's twin: 64 buildings
+// on 2 shards, every series a 960-sample ring.
+var fullRingConfig = Config{Buildings: 64, Shards: 2, Seed: 905, SampleRetention: 960}
+
+// fullRingTicks is the benchmark's 3,600 warm-up ticks plus 22 rounds of
+// 512: at one sample per 15 ticks every ring then holds 960 samples and
+// has wrapped, as in most of a timed checkpoint run.
+const fullRingTicks = 3600 + 22*512
+
+// fullRingTwin builds fullRingConfig's twin and runs it fullRingTicks
+// before its runner starts.
+func fullRingTwin(tb testing.TB) *Twin {
+	tb.Helper()
+	fc, err := fullRingConfig.FleetConfig()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fl, err := fleet.New(context.Background(), fc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := fl.RunTicks(context.Background(), fullRingTicks); err != nil {
+		tb.Fatal(err)
+	}
+	return startTwin(fullRingConfig, fc.Base.Start, fl)
+}
+
+// fullRingSnapshotSHA256 is the digest of fullRingTwin's snapshot stream.
+// Snapshot bytes move only with the simulation or the wire format
+// (SnapshotVersion).
+const fullRingSnapshotSHA256 = "bf350d08b54264867e15f6671b875579a9cfb7aa9d896390924ba614379c4445"
+
+// TestFullRingSnapshotBytes pins a full-ring 64-building snapshot's bytes,
+// and that it reads back and restores to the same stream.
+func TestFullRingSnapshotBytes(t *testing.T) {
+	tw := fullRingTwin(t)
+	defer tw.Close()
+	snap, err := tw.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != fullRingSnapshotSHA256 {
+		t.Fatalf("%d-byte snapshot has SHA-256 %s, want %s", buf.Len(), got, fullRingSnapshotSHA256)
+	}
+	for _, ss := range snap.State.Buildings[63].Recorder.Series {
+		if len(ss.Nanos) != fullRingConfig.SampleRetention {
+			t.Fatalf("series %q holds %d samples, want a full ring", ss.Name, len(ss.Nanos))
+		}
+	}
+	back, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreTwin(context.Background(), back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	again, err := restored.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf2 bytes.Buffer
+	if err := WriteSnapshot(&buf2, again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+		t.Fatal("a restored twin's snapshot differs from the one it was restored from")
+	}
+}
+
+// BenchmarkCheckpointStages times the four stages of a checkpoint round
+// trip of fullRingTwin, in ms each: capture (Twin.Snapshot), encode
+// (WriteSnapshot), decode (ReadSnapshot) and restore (RestoreTwin).
+func BenchmarkCheckpointStages(b *testing.B) {
+	tw := fullRingTwin(b)
+	defer tw.Close()
+	var capture, encode, decode, restore time.Duration
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		snap, err := tw.Snapshot()
+		if err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		buf.Reset()
+		if err := WriteSnapshot(&buf, snap); err != nil {
+			b.Fatal(err)
+		}
+		t2 := time.Now()
+		back, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		t3 := time.Now()
+		restored, err := RestoreTwin(context.Background(), back)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t4 := time.Now()
+		restored.Close()
+		capture += t1.Sub(t0)
+		encode += t2.Sub(t1)
+		decode += t3.Sub(t2)
+		restore += t4.Sub(t3)
+	}
+	b.StopTimer()
+	ms := func(d time.Duration) float64 { return d.Seconds() * 1000 / float64(b.N) }
+	b.ReportMetric(ms(capture), "capture-ms")
+	b.ReportMetric(ms(encode), "encode-ms")
+	b.ReportMetric(ms(decode), "decode-ms")
+	b.ReportMetric(ms(restore), "restore-ms")
+	b.ReportMetric(float64(buf.Len())/(1<<20), "MiB")
 }
 
 // FuzzReadSnapshot feeds arbitrary bytes to ReadSnapshot and, when they

@@ -7,6 +7,7 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -22,6 +23,7 @@ import (
 	"bubblezero/internal/core"
 	"bubblezero/internal/fault"
 	"bubblezero/internal/fleet"
+	"bubblezero/internal/sim"
 	"bubblezero/internal/thermal"
 )
 
@@ -574,6 +576,28 @@ func TestServerCreateRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestServerCreateRejectsUnallocatableRetention pins that a retention
+// whose rings Go cannot allocate is a 400 naming it, for a twin built on
+// the handler goroutine (one building) and on pool workers (two). Such a
+// create used to panic in make, and on a pool worker that ended the
+// process.
+func TestServerCreateRejectsUnallocatableRetention(t *testing.T) {
+	srv := NewServer()
+	defer srv.Close()
+	h := srv.Handler()
+	const retention = "1152921504606846976" // 2^60 samples, 2^64 bytes a ring
+	for _, buildings := range []int{1, 2} {
+		body := fmt.Sprintf(`{"buildings":%d,"sample_retention":%s}`, buildings, retention)
+		rec := serve(h, http.MethodPost, "/twins", body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "SampleRetention "+retention) {
+			t.Errorf("POST /twins %s: status %d: %s, want 400 naming the retention", body, rec.Code, rec.Body)
+		}
+		if rec := serve(h, http.MethodGet, "/twins", ""); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"twins":[]`) {
+			t.Fatalf("GET /twins after the rejected create: status %d: %s", rec.Code, rec.Body)
+		}
+	}
+}
+
 // TestServerRestoreRejectsBadTraceState pins that a well-formed snapshot
 // carrying malformed trace columns is a 400, not a panic, and registers no
 // twin.
@@ -989,4 +1013,71 @@ func TestRunBacklogOverflowRejected(t *testing.T) {
 	}
 	tw.mu.Unlock()
 	locked = false
+}
+
+// TestRunnerPanicFailsOnlyItsTwin pins that a panic in a module's Step
+// fails the twin it happened in, with the panic and its stack in Status,
+// and leaves the process and every other twin running. The failed twin
+// serves no snapshot. One twin steps its single shard inline, the other
+// on pool workers.
+func TestRunnerPanicFailsOnlyItsTwin(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprint("shards=", shards), func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Shards = shards
+			bad, err := NewTwin(context.Background(), cfg)
+			if err != nil {
+				t.Fatalf("NewTwin: %v", err)
+			}
+			defer bad.Close()
+			good, err := NewTwin(context.Background(), cfg)
+			if err != nil {
+				t.Fatalf("NewTwin: %v", err)
+			}
+			defer good.Close()
+			bad.mu.Lock()
+			bad.fl.Building(1).Engine().Register(sim.ComponentFunc{ID: "boom", Fn: func(env *sim.Env) {
+				if env.Elapsed() == 100*time.Second {
+					panic("boom")
+				}
+			}})
+			bad.mu.Unlock()
+
+			if err := bad.RunTicks(300); err != nil {
+				t.Fatalf("RunTicks: %v", err)
+			}
+			if err := good.RunTicks(300); err != nil {
+				t.Fatalf("RunTicks: %v", err)
+			}
+			waitIdle(t, good, 300)
+			deadline := time.Now().Add(30 * time.Second)
+			for bad.Status().Err == "" && time.Now().Before(deadline) {
+				time.Sleep(2 * time.Millisecond)
+			}
+			st := bad.Status()
+			if !strings.Contains(st.Err, "panic: boom") || !strings.Contains(st.Err, "twin_test.go") {
+				t.Fatalf("failed twin's status error %q, want the panic and its stack", st.Err)
+			}
+			if st.Pending != 0 {
+				t.Errorf("failed twin keeps %d ticks pending", st.Pending)
+			}
+			if err := bad.RunTicks(1); err == nil || err.Error() != st.Err {
+				t.Errorf("RunTicks on the failed twin: err = %v, want its runner error", err)
+			}
+			// Its buildings stopped at different ticks inside an epoch.
+			if _, err := bad.Snapshot(); !errors.Is(err, fleet.ErrRunFailed) {
+				t.Errorf("Snapshot of the failed twin: err = %v, want fleet.ErrRunFailed", err)
+			}
+			srv := NewServer()
+			id := srv.reg.add(bad)
+			if rec := serve(srv.Handler(), http.MethodGet, "/twins/"+id+"/snapshot", ""); rec.Code != http.StatusConflict ||
+				!strings.Contains(rec.Body.String(), "mid-epoch") {
+				t.Errorf("GET snapshot of the failed twin: status %d: %s, want 409", rec.Code, rec.Body)
+			}
+			if err := good.RunTicks(44); err != nil {
+				t.Fatalf("RunTicks: %v", err)
+			}
+			waitIdle(t, good, 344)
+		})
+	}
 }
