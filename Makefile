@@ -55,13 +55,15 @@ race-fault:
 	$(GO) test -race -short -run 'Fault|Degrad|MoteOffline|Jam|Battery|Chiller|Pump|Survives|FailsSafe|Stops' ./internal/core
 
 # The twin's lock discipline under the race detector, ten times over:
-# readers share the fleet lock while the runner and snapshots hold it
-# alone, and status reads take only the run-queue lock. The snapshot
+# the runner and readers share the fleet lock, each reader waits only for
+# its own building's lock, snapshots hold the fleet lock alone, and
+# status reads take only the run-queue lock. A panic in a Step, an event
+# or a journal replay must leave every building lock free. The snapshot
 # round trips run here too, because a fleet exports and restores its
 # buildings on its worker pool.
 race-twin:
-	$(GO) test -race -count=10 -run 'StatusDoesNotWait|ReadersWhileRunning|TestTwinSnapshotRoundTrip|TestServerSnapshotRestoreAcrossServers' ./internal/twin
-	$(GO) test -race -count=10 -run 'TestFleetSnapshotRoundTrip|TestFleetStateErrorsNameLowestBuilding' ./internal/fleet
+	$(GO) test -race -count=10 -run 'StatusDoesNotWait|ReadersWhileRunning|TestQueryAnswersWhileRunnerWaitsOnAnotherBuilding|TestRunnerPanicFailsOnlyItsTwin|TestTwinSnapshotRoundTrip|TestServerSnapshotRestoreAcrossServers' ./internal/twin
+	$(GO) test -race -count=10 -run 'TestEventPanicFailsTheRun|TestRestoreReplayPanicIsAnError|TestFleetSnapshotRoundTrip|TestFleetStateErrorsNameLowestBuilding' ./internal/fleet
 
 # Every benchmark once — correctness of the benchmark harness, not timing.
 bench-smoke:

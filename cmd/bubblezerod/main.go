@@ -39,11 +39,7 @@ func run() error {
 	srv := twin.NewServer()
 	defer srv.Close()
 
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	fmt.Printf("bubblezerod listening on %s\n", *addr)
@@ -58,5 +54,19 @@ func run() error {
 			return nil
 		}
 		return err
+	}
+}
+
+// newHTTPServer returns the daemon's HTTP server. It bounds how long a
+// client may take to send a request's headers and how long a kept-alive
+// connection may sit idle between requests. It sets no read or write
+// timeout: a snapshot of a large twin streams in or out for as long as
+// its megabytes take, and a deadline would cut it off part way.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
 	}
 }

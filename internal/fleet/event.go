@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"time"
 
+	"bubblezero/internal/core"
 	"bubblezero/internal/fault"
 	"bubblezero/internal/psychro"
+	"bubblezero/internal/runner"
 	"bubblezero/internal/thermal"
 )
 
@@ -147,7 +149,9 @@ func (f *Fleet) Journal() []AppliedEvent {
 
 // drainEvents applies every queued event at the current epoch boundary
 // and journals it. Called single-threaded between epochs; the steady-state
-// fast path (nothing queued) performs no allocations.
+// fast path (nothing queued) performs no allocations. An event that fails
+// fails the fleet (stepErr): it may have changed some buildings, and the
+// journal holds neither it nor the rest of its batch.
 func (f *Fleet) drainEvents() error {
 	f.evMu.Lock()
 	if len(f.pendingEv) == 0 {
@@ -160,7 +164,8 @@ func (f *Fleet) drainEvents() error {
 
 	for _, ev := range batch {
 		if err := f.applyNow(ev, f.ticks); err != nil {
-			return err
+			f.stepErr = fmt.Errorf("fleet: %s event at tick %d: %w", ev.Kind, f.ticks, err)
+			return f.stepErr
 		}
 		f.evMu.Lock()
 		f.journal = append(f.journal, AppliedEvent{Event: ev, Tick: f.ticks})
@@ -171,22 +176,26 @@ func (f *Fleet) drainEvents() error {
 
 // applyNow applies one event at the boundary after `tick` completed
 // ticks. Restore replays fault events through the same function with the
-// journaled tick, so the scheduled instants reproduce exactly.
+// journaled tick, so the scheduled instants reproduce exactly. Each
+// building changes under its own lock, as readers may be looking at the
+// others. Neither caller runs on the pool, so applyNow recovers a panic
+// into its error itself; the building's lock is released on the way out.
 //
 //bzlint:mutroute fleet.Apply the route itself: every journaled event lands here
-func (f *Fleet) applyNow(ev Event, tick uint64) error {
+func (f *Fleet) applyNow(ev Event, tick uint64) (err error) {
+	defer runner.Recover(&err)
 	switch ev.Kind {
 	case EventClimate:
 		// One precomputed Climate, installed on every room by assignment.
 		// It goes through thermal.NewClimate, so it is bit-identical to each
 		// room recomputing its own boundary terms.
 		c := thermal.NewClimate(psychro.NewStateDewPoint(ev.TC, ev.DewC, 0), f.cfg.Base.Thermal.OutdoorCO2PPM)
-		for _, sys := range f.buildings {
-			sys.Room().SetClimate(c)
+		for i := range f.buildings {
+			f.buildings[i].update(func(sys *core.System) { sys.Room().SetClimate(c) })
 		}
 		return nil
 	case EventDoor:
-		f.buildings[ev.Building].Room().OpenDoor(ev.Door)
+		f.buildings[ev.Building].update(func(sys *core.System) { sys.Room().OpenDoor(ev.Door) })
 		return nil
 	case EventFault:
 		plan, err := fault.NewPlan(ev.Faults...)
@@ -194,7 +203,8 @@ func (f *Fleet) applyNow(ev Event, tick uint64) error {
 			return err
 		}
 		base := f.cfg.Base.Start.Add(time.Duration(tick) * f.step)
-		return f.buildings[ev.Building].ApplyFaults(base, plan)
+		f.buildings[ev.Building].update(func(sys *core.System) { err = sys.ApplyFaults(base, plan) })
+		return err
 	}
 	return fmt.Errorf("fleet: unknown event kind %d", int(ev.Kind))
 }

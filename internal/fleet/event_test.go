@@ -42,7 +42,7 @@ func TestClimateEventValidation(t *testing.T) {
 	if j := fl.Journal(); len(j) != 0 {
 		t.Errorf("journal holds %d events after refused climate events, want 0", len(j))
 	}
-	for i := 0; i < fl.Buildings(); i++ {
+	for i := 0; i < len(fl.buildings); i++ {
 		for z := 0; z < thermal.NumZones; z++ {
 			st := fl.Building(i).Room().Zone(thermal.ZoneID(z))
 			if math.IsNaN(st.T) || math.IsInf(st.T, 0) || math.IsNaN(st.W) || math.IsInf(st.W, 0) {
@@ -57,7 +57,7 @@ func TestClimateEventValidation(t *testing.T) {
 		{Kind: EventClimate, TC: -45, DewC: -45},
 		{Kind: EventClimate, TC: 34, DewC: 33},
 	} {
-		if err := ev.Validate(fl.Buildings()); err != nil {
+		if err := ev.Validate(len(fl.buildings)); err != nil {
 			t.Errorf("t_c %v dew_c %v: %v", ev.TC, ev.DewC, err)
 		}
 	}

@@ -26,15 +26,16 @@ const defaultEpochTicks = 512
 //bzlint:guards evMu pendingEv,journal
 type Fleet struct {
 	cfg       Config
-	shards    [][]*core.System // disjoint contiguous blocks of buildings
-	buildings []*core.System   // index order, buildings[i] is building i
+	shards    [][]building // disjoint contiguous blocks of buildings
+	buildings []building   // index order, buildings[i] is building i
 	pool      *runner.Pool
 
 	epochTicks uint64
 	step       time.Duration
 	ticks      uint64 // ticks advanced so far
-	// stepErr is the error that stopped an epoch part way. Buildings
-	// then stand at different ticks, and ExportState refuses them.
+	// stepErr is the error that stopped an epoch or an event part way.
+	// Buildings then stand at different ticks, or hold an event the
+	// journal lacks, and ExportState refuses them.
 	stepErr error
 
 	// Live-mutation queue and journal (event.go). evMu guards both:
@@ -43,6 +44,16 @@ type Fleet struct {
 	evMu      sync.Mutex
 	pendingEv []Event
 	journal   []AppliedEvent
+}
+
+// building is one building of the fleet and the lock that orders its
+// epochs and events against readers. The runner holds mu alone while it
+// steps the building or applies an event to it; ViewBuilding holds it
+// shared. A reader therefore waits for one building's epoch, not for the
+// whole fleet's.
+type building struct {
+	mu  sync.RWMutex
+	sys *core.System
 }
 
 // New validates cfg, instantiates the fleet's buildings in parallel, and
@@ -76,7 +87,7 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 
 	f := &Fleet{
 		cfg:        cfg,
-		buildings:  make([]*core.System, cfg.Buildings),
+		buildings:  make([]building, cfg.Buildings),
 		pool:       runner.NewPool(nShards),
 		epochTicks: epoch,
 		step:       cfg.Base.Step,
@@ -89,7 +100,7 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 		if err != nil {
 			return fmt.Errorf("fleet: building %d: %w", i, err)
 		}
-		f.buildings[i] = sys
+		f.buildings[i].sys = sys
 		return nil
 	}); err != nil {
 		return nil, err
@@ -98,7 +109,7 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 	// Contiguous block partition: shard s owns [s*N/S, (s+1)*N/S). Block
 	// assignment keeps each shard's buildings adjacent in memory and makes
 	// the ownership trivially disjoint.
-	f.shards = make([][]*core.System, nShards)
+	f.shards = make([][]building, nShards)
 	for s := 0; s < nShards; s++ {
 		lo := s * cfg.Buildings / nShards
 		hi := (s + 1) * cfg.Buildings / nShards
@@ -188,18 +199,36 @@ func Standalone(cfg Config, i int) (*core.System, error) {
 // allocation-free in steady state.
 //
 //bzlint:hotpath
-func stepShard(ctx context.Context, systems []*core.System, ticks uint64) error {
-	for _, sys := range systems {
-		if err := sys.Engine().RunTicks(ctx, ticks); err != nil {
+func stepShard(ctx context.Context, shard []building, ticks uint64) error {
+	for i := range shard {
+		if err := shard[i].step(ctx, ticks); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// step advances the building by `ticks` under its lock. The unlock is
+// deferred, so a Step that panics leaves the building readable.
+func (b *building) step(ctx context.Context, ticks uint64) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.sys.Engine().RunTicks(ctx, ticks)
+}
+
+// update runs fn on the building under its lock, for a write between
+// epochs. The unlock is deferred, as in step.
+func (b *building) update(fn func(sys *core.System)) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	fn(b.sys)
+}
+
 // RunTicks advances every building by n ticks, in epochs of EpochTicks.
 // Within an epoch each shard steps its buildings sequentially with no
-// cross-shard communication; shards only rejoin at epoch boundaries.
+// cross-shard communication; shards only rejoin at epoch boundaries. A
+// building is stepped, and changed by an event, under its own lock, so
+// ViewBuilding may read any building while RunTicks runs.
 // Per-building results are independent of the shard count and epoch
 // length.
 func (f *Fleet) RunTicks(ctx context.Context, n uint64) error {
@@ -229,17 +258,33 @@ func (f *Fleet) Run(ctx context.Context, d time.Duration) error {
 	return f.RunTicks(ctx, uint64(d/f.step))
 }
 
-// Buildings returns the fleet size.
-func (f *Fleet) Buildings() int { return len(f.buildings) }
-
 // Shards returns the effective shard count.
 func (f *Fleet) Shards() int { return len(f.shards) }
 
 // Ticks returns how many ticks every building has advanced.
 func (f *Fleet) Ticks() uint64 { return f.ticks }
 
-// Building returns building i.
-func (f *Fleet) Building(i int) *core.System { return f.buildings[i] }
+// Building returns building i, to use between RunTicks calls. While
+// RunTicks runs on another goroutine, read a building only through
+// ViewBuilding.
+func (f *Fleet) Building(i int) *core.System { return f.buildings[i].sys }
+
+// ViewBuilding runs fn on building i under the building's read lock, and
+// may do so while RunTicks runs on another goroutine: fn then waits for
+// the building's epoch in progress, if any, and sees it between two
+// epochs while other buildings stand mid-epoch. Readers of one building
+// share its lock, so fn must write nothing: not the building (a mutation
+// bypasses the event journal and breaks snapshot replay), and not a memo
+// either — Recorder.Series, for one, caches its last lookup.
+func (f *Fleet) ViewBuilding(i int, fn func(sys *core.System) error) error {
+	if i < 0 || i >= len(f.buildings) {
+		return fmt.Errorf("fleet: building %d out of range [0, %d)", i, len(f.buildings))
+	}
+	b := &f.buildings[i]
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return fn(b.sys)
+}
 
 // BytesPerBuilding returns the fleet's computed live-heap size per
 // building at construction, Config.BytesPerBuilding of its config. It is
@@ -271,7 +316,8 @@ func (f *Fleet) Stats() Stats {
 		MaxTempC:  math.Inf(-1),
 	}
 	var sumT, sumDew, sumCOP float64
-	for _, sys := range f.buildings {
+	for i := range f.buildings {
+		sys := f.buildings[i].sys
 		t := sys.Room().AverageT()
 		sumT += t
 		sumDew += sys.Room().AverageDewPoint()

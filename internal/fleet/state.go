@@ -28,8 +28,10 @@ type State struct {
 }
 
 // ErrRunFailed is wrapped in ExportState's error on a fleet whose
-// RunTicks failed part way through an epoch: its buildings stand at
-// different ticks, and no snapshot of them is consistent.
+// RunTicks failed part way through an epoch, or whose event failed part
+// way through its buildings: its buildings stand at different ticks, or
+// hold an event the journal lacks, and no snapshot of them is
+// consistent.
 var ErrRunFailed = errors.New("fleet: a failed run left the buildings mid-epoch")
 
 // ExportState captures the fleet's full mutable state. Events queued but
@@ -38,8 +40,7 @@ var ErrRunFailed = errors.New("fleet: a failed run left the buildings mid-epoch"
 // is silently dropped from the snapshot. The buildings export on the
 // fleet's pool, each into its own slot; a failure names the lowest
 // failing building, whatever order the workers finish in. A fleet whose
-// RunTicks failed part way through an epoch cannot be exported
-// (ErrRunFailed).
+// RunTicks or event failed part way cannot be exported (ErrRunFailed).
 func (f *Fleet) ExportState() (State, error) {
 	if f.stepErr != nil {
 		return State{}, fmt.Errorf("%w: %w", ErrRunFailed, f.stepErr)
@@ -53,7 +54,7 @@ func (f *Fleet) ExportState() (State, error) {
 		Buildings: make([]core.SystemState, len(f.buildings)),
 	}
 	if err := f.forEachBuilding("export", func(i int) (err error) {
-		st.Buildings[i], err = f.buildings[i].ExportState()
+		st.Buildings[i], err = f.buildings[i].sys.ExportState()
 		return err
 	}); err != nil {
 		return State{}, err
@@ -91,9 +92,10 @@ func (f *Fleet) forEachBuilding(op string, fn func(i int) error) error {
 // before any building is mutated, among them a trace series whose
 // retention is not the one construction gave it: the rebuilt rings are
 // refilled in place, and a snapshot cannot size a ring of its own. The
-// checks and the journal replay run in order; then the buildings restore
-// on the fleet's pool, each from its own slot, and a failure names the
-// lowest failing building.
+// checks and the journal replay run in order, on the caller's goroutine,
+// where a panic in the replay is its entry's error; then the buildings
+// restore on the fleet's pool, each from its own slot, and a failure
+// names the lowest failing building.
 func (f *Fleet) RestoreState(st State) error {
 	if f.ticks != 0 || len(f.Journal()) != 0 {
 		return fmt.Errorf("fleet: restore target must be freshly constructed (ticks=%d)", f.ticks)
@@ -126,7 +128,7 @@ func (f *Fleet) RestoreState(st State) error {
 		}
 	}
 	if err := f.forEachBuilding("restore", func(i int) error {
-		return f.buildings[i].RestoreState(st.Buildings[i])
+		return f.buildings[i].sys.RestoreState(st.Buildings[i])
 	}); err != nil {
 		return err
 	}

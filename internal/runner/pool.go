@@ -13,7 +13,8 @@
 // A job that panics fails with an error naming the panic and carrying
 // the stack; it does not end the process. Nothing else recovers a pool
 // worker, and a caller such as a twin's runner turns the error into its
-// own failed state while the rest of the process keeps running.
+// own failed state while the rest of the process keeps running. Recover
+// does the same for code that runs outside a pool.
 package runner
 
 import (
@@ -114,12 +115,18 @@ func (p *Pool) Run(ctx context.Context, jobs ...Job) error {
 // call runs job and returns its error, or the panic it raised as an error
 // with the panicking goroutine's stack.
 func call(ctx context.Context, job Job) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = fmt.Errorf("panic: %v\n\n%s", v, debug.Stack())
-		}
-	}()
+	defer Recover(&err)
 	return job(ctx)
+}
+
+// Recover, deferred, turns a panic into *err the way a pool job's panic
+// becomes its error: "panic: <value>" and the panicking goroutine's
+// stack. It is for code that runs outside a pool and must not end the
+// process either.
+func Recover(err *error) {
+	if v := recover(); v != nil {
+		*err = fmt.Errorf("panic: %v\n\n%s", v, debug.Stack())
+	}
 }
 
 // ForEach runs fn for every index in [0, n) through the pool. Results

@@ -24,9 +24,8 @@ import (
 //
 // Requests rotate across buildings and series so the fold touches many
 // recorders rather than one hot series. The fleet is advanced once,
-// before the timer: the gate measures read throughput at a quiescent
-// call boundary, which is also the only state the chunked runner ever
-// exposes to a reader.
+// before the timer: the gate measures read throughput on an idle twin,
+// where no query waits for a building's epoch.
 func BenchmarkHTTPQuery(b *testing.B) {
 	const (
 		buildings = 1000

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"bubblezero/internal/core"
 	"bubblezero/internal/fault"
 	"bubblezero/internal/fleet"
 	"bubblezero/internal/trace"
@@ -358,18 +359,16 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var names []string
-	var building int
-	err := t.View(func(fl *fleet.Fleet) error {
-		var err error
-		building, err = parseBuilding(r, fl.Buildings())
-		if err != nil {
-			return err
-		}
-		names = fl.Building(building).Recorder().Names()
-		return nil
-	})
+	building, err := parseBuilding(r, t.cfg.Buildings)
 	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	var names []string
+	if err := t.viewBuilding(building, func(sys *core.System) error {
+		names = sys.Recorder().Names()
+		return nil
+	}); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -460,16 +459,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	var building int
+	building, err := parseBuilding(r, t.cfg.Buildings)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	var pts []trace.QueryPoint
-	err = t.View(func(fl *fleet.Fleet) error {
+	err = t.viewBuilding(building, func(sys *core.System) error {
 		var err error
-		building, err = parseBuilding(r, fl.Buildings())
-		if err != nil {
-			return err
-		}
-		pts, err = fl.Building(building).Recorder().Query(name,
-			trace.Query{From: from, To: to, Step: step, Agg: agg}, nil)
+		pts, err = sys.Recorder().Query(name, trace.Query{From: from, To: to, Step: step, Agg: agg}, nil)
 		return err
 	})
 	if err != nil {
@@ -495,12 +493,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // handleQueryCSV streams the sample-and-hold CSV export for one or more
 // series (comma-separated "series" parameter; empty means every series).
 func (s *Server) handleQueryCSV(w http.ResponseWriter, r *http.Request, t *Twin, from, to time.Time, step time.Duration) {
-	err := t.View(func(fl *fleet.Fleet) error {
-		building, err := parseBuilding(r, fl.Buildings())
-		if err != nil {
-			return err
-		}
-		rec := fl.Building(building).Recorder()
+	building, err := parseBuilding(r, t.cfg.Buildings)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	err = t.viewBuilding(building, func(sys *core.System) error {
+		rec := sys.Recorder()
 		names := rec.Names()
 		if raw := r.URL.Query().Get("series"); raw != "" {
 			names = strings.Split(raw, ",")

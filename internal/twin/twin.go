@@ -21,6 +21,7 @@ import (
 	"sync"
 	"time"
 
+	"bubblezero/internal/core"
 	"bubblezero/internal/fleet"
 )
 
@@ -69,9 +70,11 @@ func (c Config) FleetConfig() (fleet.Config, error) {
 	return fc, nil
 }
 
-// A runner chunk aims at chunkBuildingTicks building-ticks per lock
-// window, about 18 ms at the ~450k building-ticks/s of a 2-vCPU host.
-// Small fleets keep maxChunkTicks, whose window is shorter still. Large
+// A runner chunk aims at chunkBuildingTicks building-ticks, about 18 ms
+// at the ~450k building-ticks/s of a 2-vCPU host. A chunk is how long a
+// Snapshot or Close waits for the runner and how often Status sees its
+// progress; a query waits only for its own building's epoch inside it.
+// Small fleets keep maxChunkTicks, whose chunk is shorter still. Large
 // fleets get at least minChunkTicks: every Fleet.RunTicks call pays for
 // a shard barrier and a walk over every building's state, and 8-tick
 // calls slowed a 1000-building twin's runner by a third against
@@ -99,8 +102,12 @@ type Twin struct {
 	cfg   Config
 	start time.Time // simulated start instant; query offsets are relative to it
 
-	// mu guards the fleet. The runner holds it alone for one chunk at a
-	// time, and so does Snapshot; readers share it between chunks.
+	// mu guards the fleet. The runner holds it shared for one chunk at a
+	// time and is the only writer under it: it steps and changes each
+	// building under that building's own lock (fleet.ViewBuilding's).
+	// Readers share mu too, and touch only the fleet's immutable fields
+	// and, under its read lock, the one building they read. Snapshot
+	// holds mu alone, so it sees every building at one tick.
 	mu sync.RWMutex
 	fl *fleet.Fleet
 
@@ -204,21 +211,21 @@ func (t *Twin) Status() Status {
 //bzlint:allow lockcheck fl pointer is immutable after construction; fleet.Apply locks evMu internally
 func (t *Twin) Apply(ev fleet.Event) error { return t.fl.Apply(ev) }
 
-// View runs fn on the fleet between run chunks, at the same time as
-// other readers. fn must not write anything: not the fleet (mutations
-// bypass the event journal and would break snapshot replay), and not a
-// memo either — Recorder.Series, for one, caches its last lookup.
-// bzlint's lockcheck cannot see such a write, made inside fn or behind a
-// method call; `make race-twin` runs the read paths under the race
-// detector to catch it.
-func (t *Twin) View(fn func(fl *fleet.Fleet) error) error {
+// viewBuilding runs fn on building i while the runner may be stepping
+// the others: fn waits only for building i's epoch in progress, if any
+// (fleet.ViewBuilding). fn must write nothing, not even a memo —
+// Recorder.Series, for one, caches its last lookup. bzlint's lockcheck
+// cannot see such a write, made inside fn or behind a method call; `make
+// race-twin` runs the read paths under the race detector to catch it.
+func (t *Twin) viewBuilding(i int, fn func(sys *core.System) error) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return fn(t.fl)
+	return t.fl.ViewBuilding(i, fn)
 }
 
 // Snapshot captures the twin at the current epoch boundary. It holds the
-// fleet lock alone: ExportState first drains queued events into the
+// fleet lock alone, so no chunk is in progress and every building stands
+// at one tick; and ExportState first drains queued events into the
 // fleet, which is a write.
 func (t *Twin) Snapshot() (*Snapshot, error) {
 	t.mu.Lock()
@@ -260,10 +267,11 @@ func (t *Twin) Close() {
 	<-t.done
 }
 
-// runLoop drains the run queue in bounded chunks, releasing the fleet
-// lock between chunks so reads and snapshots interleave with long runs.
-// RWMutex.Unlock admits every reader already queued before the next Lock
-// returns, so a reader waits at most for the chunk in progress.
+// runLoop drains the run queue in bounded chunks. It holds the fleet
+// lock shared, so readers run beside a chunk and wait only for their own
+// building's epoch, and it releases the lock between chunks so a
+// Snapshot, which holds it alone, waits at most for the chunk in
+// progress.
 func (t *Twin) runLoop() {
 	defer close(t.done)
 	for {
@@ -284,10 +292,10 @@ func (t *Twin) runLoop() {
 			if chunk == 0 {
 				break
 			}
-			t.mu.Lock()
+			t.mu.RLock()
 			err := t.fl.RunTicks(context.Background(), chunk)
 			ticks := t.fl.Ticks()
-			t.mu.Unlock()
+			t.mu.RUnlock()
 			t.runMu.Lock()
 			t.ticks = ticks
 			if err != nil {

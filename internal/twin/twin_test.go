@@ -53,14 +53,13 @@ func fingerprint(t *testing.T, sys *core.System) string {
 func fingerprints(t *testing.T, tw *Twin) []string {
 	t.Helper()
 	var fps []string
-	err := tw.View(func(fl *fleet.Fleet) error {
-		for i := 0; i < fl.Buildings(); i++ {
-			fps = append(fps, fingerprint(t, fl.Building(i)))
+	for i := 0; i < tw.Config().Buildings; i++ {
+		if err := tw.viewBuilding(i, func(sys *core.System) error {
+			fps = append(fps, fingerprint(t, sys))
+			return nil
+		}); err != nil {
+			t.Fatalf("viewBuilding(%d): %v", i, err)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("View: %v", err)
 	}
 	return fps
 }
@@ -428,9 +427,9 @@ func TestServerEventValidation(t *testing.T) {
 	httpJSON(t, client, http.MethodPost, ts.URL+"/twins/"+id+"/run", map[string]uint64{"ticks": 600}, http.StatusAccepted, nil)
 	waitIdleHTTP(t, client, ts.URL, id, 600)
 	tw, _ := srv.reg.get(id)
-	err := tw.View(func(fl *fleet.Fleet) error {
+	err := tw.viewBuilding(0, func(sys *core.System) error {
 		for z := 0; z < thermal.NumZones; z++ {
-			st := fl.Building(0).Room().Zone(thermal.ZoneID(z))
+			st := sys.Room().Zone(thermal.ZoneID(z))
 			if math.IsNaN(st.T) || math.IsInf(st.T, 0) || math.IsNaN(st.W) || math.IsInf(st.W, 0) {
 				t.Errorf("zone %d: T %v, W %v after a refused climate event, want finite", z, st.T, st.W)
 			}
@@ -468,7 +467,7 @@ func TestServerQueryWindowBounds(t *testing.T) {
 	}
 	waitIdle(t, tw, 60)
 	var name string
-	if err := tw.View(func(fl *fleet.Fleet) error { name = fl.Building(0).Recorder().Names()[0]; return nil }); err != nil {
+	if err := tw.viewBuilding(0, func(sys *core.System) error { name = sys.Recorder().Names()[0]; return nil }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -721,8 +720,8 @@ func TestChunkTicks(t *testing.T) {
 }
 
 // TestStatusDoesNotWaitForFleetLock pins that a status read takes only the
-// run-queue lock: it must answer while the fleet lock is held, as it is
-// for the whole of every runner chunk.
+// run-queue lock: it must answer while the fleet lock is held alone, as
+// Snapshot holds it for a whole export.
 func TestStatusDoesNotWaitForFleetLock(t *testing.T) {
 	tw, err := NewTwin(context.Background(), testConfig())
 	if err != nil {
@@ -773,11 +772,11 @@ func TestTwinReadersWhileRunning(t *testing.T) {
 	}
 	waitIdle(t, tw, warmTicks)
 	var name string
-	if err := tw.View(func(fl *fleet.Fleet) error {
-		name = fl.Building(1).Recorder().Names()[0]
+	if err := tw.viewBuilding(1, func(sys *core.System) error {
+		name = sys.Recorder().Names()[0]
 		return nil
 	}); err != nil {
-		t.Fatalf("View: %v", err)
+		t.Fatalf("viewBuilding: %v", err)
 	}
 	if err := tw.RunTicks(uint64(1) << 40); err != nil {
 		t.Fatalf("backlog run: %v", err)
@@ -972,8 +971,8 @@ func TestReadSnapshotRejectsBadStreams(t *testing.T) {
 
 // TestRunBacklogOverflowRejected pins that a run request the backlog cannot
 // count is a 400 that leaves the backlog as it was. The test holds the
-// fleet lock, so the runner cannot finish a chunk and shrink the backlog
-// while it looks.
+// fleet lock alone, so the runner cannot start a chunk and shrink the
+// backlog while it looks.
 func TestRunBacklogOverflowRejected(t *testing.T) {
 	srv := NewServer()
 	defer srv.Close()
@@ -1015,11 +1014,104 @@ func TestRunBacklogOverflowRejected(t *testing.T) {
 	locked = false
 }
 
+// serveWithin sends one GET through h and fails the test if it has not
+// answered within a generous 30 s: the bound only tells a hang from an
+// answer.
+func serveWithin(t *testing.T, h http.Handler, target string) *httptest.ResponseRecorder {
+	t.Helper()
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() { done <- serve(h, http.MethodGet, target, "") }()
+	select {
+	case rec := <-done:
+		return rec
+	case <-time.After(30 * time.Second):
+		t.Fatalf("GET %s did not answer", target)
+		return nil
+	}
+}
+
+// TestQueryAnswersWhileRunnerWaitsOnAnotherBuilding pins that a reader
+// waits for its own building only. One shard steps buildings 0, 1 and 2
+// in turn; while a reader holds building 2 and the runner, mid-chunk,
+// waits to step it, queries on buildings 0 and 1 answer. A fleet-wide
+// lock would hold them behind the waiting runner until the reader
+// finished, and a max-window CSV export reads one building for 0.4–0.5 s.
+func TestQueryAnswersWhileRunnerWaitsOnAnotherBuilding(t *testing.T) {
+	const warmTicks = 300
+	srv := NewServer()
+	defer srv.Close()
+	h := srv.Handler()
+	cfg := testConfig()
+	cfg.Shards = 1
+	tw, err := NewTwin(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("NewTwin: %v", err)
+	}
+	id := srv.reg.add(tw)
+	if err := tw.RunTicks(warmTicks); err != nil {
+		t.Fatalf("warm-up run: %v", err)
+	}
+	waitIdle(t, tw, warmTicks)
+
+	// Building 1 reports its ticks, so the test knows when the runner is
+	// inside the next chunk, one building before the held one.
+	stepping := make(chan struct{}, 1)
+	tw.mu.Lock()
+	tw.fl.Building(1).Engine().Register(sim.ComponentFunc{ID: "probe", Fn: func(*sim.Env) {
+		select {
+		case stepping <- struct{}{}:
+		default:
+		}
+	}})
+	name := tw.fl.Building(0).Recorder().Names()[0]
+	tw.mu.Unlock()
+
+	held, release := make(chan struct{}), make(chan struct{})
+	go func() {
+		// Building 2 exists and the callback returns nil: no error to see.
+		_ = tw.viewBuilding(2, func(*core.System) error {
+			close(held)
+			<-release
+			return nil
+		})
+	}()
+	<-held
+	released := false
+	defer func() {
+		if !released {
+			close(release)
+		}
+	}()
+	chunk := chunkTicks(cfg.Buildings)
+	if err := tw.RunTicks(chunk); err != nil {
+		t.Fatalf("RunTicks: %v", err)
+	}
+	select {
+	case <-stepping:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the runner did not start its chunk")
+	}
+
+	for _, b := range []int{0, 1} {
+		target := fmt.Sprintf("/twins/%s/query?building=%d&series=%s&agg=mean&from_s=0&to_s=%d&step_s=60", id, b, name, warmTicks)
+		if rec := serveWithin(t, h, target); rec.Code != http.StatusOK {
+			t.Fatalf("query on building %d: status %d: %s", b, rec.Code, rec.Body)
+		}
+	}
+	if st := tw.Status(); st.Ticks != warmTicks || st.Pending != chunk {
+		t.Fatalf("status %+v, want the chunk still waiting on building 2", st)
+	}
+	close(release)
+	released = true
+	waitIdle(t, tw, warmTicks+chunk)
+}
+
 // TestRunnerPanicFailsOnlyItsTwin pins that a panic in a module's Step
 // fails the twin it happened in, with the panic and its stack in Status,
 // and leaves the process and every other twin running. The failed twin
-// serves no snapshot. One twin steps its single shard inline, the other
-// on pool workers.
+// serves no snapshot, but it answers queries, on the building whose Step
+// panicked too: the panic released that building's lock. One twin steps
+// its single shard inline, the other on pool workers.
 func TestRunnerPanicFailsOnlyItsTwin(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprint("shards=", shards), func(t *testing.T) {
@@ -1073,6 +1165,18 @@ func TestRunnerPanicFailsOnlyItsTwin(t *testing.T) {
 			if rec := serve(srv.Handler(), http.MethodGet, "/twins/"+id+"/snapshot", ""); rec.Code != http.StatusConflict ||
 				!strings.Contains(rec.Body.String(), "mid-epoch") {
 				t.Errorf("GET snapshot of the failed twin: status %d: %s, want 409", rec.Code, rec.Body)
+			}
+			for _, b := range []int{1, 0} {
+				rec := serveWithin(t, srv.Handler(), fmt.Sprintf("/twins/%s/series?building=%d", id, b))
+				var listed struct{ Series []string }
+				if err := json.Unmarshal(rec.Body.Bytes(), &listed); err != nil || rec.Code != http.StatusOK || len(listed.Series) == 0 {
+					t.Fatalf("series of building %d of the failed twin: status %d: %s", b, rec.Code, rec.Body)
+				}
+				target := fmt.Sprintf("/twins/%s/query?building=%d&series=%s&agg=last&from_s=0&to_s=100&step_s=10",
+					id, b, listed.Series[0])
+				if rec := serveWithin(t, srv.Handler(), target); rec.Code != http.StatusOK {
+					t.Errorf("query on building %d of the failed twin: status %d: %s", b, rec.Code, rec.Body)
+				}
 			}
 			if err := good.RunTicks(44); err != nil {
 				t.Fatalf("RunTicks: %v", err)
