@@ -43,7 +43,7 @@ func run() error {
 	var (
 		fig        = flag.String("fig", "all", "figure to regenerate: 10, 11, 12, 13, 14, 15, resilience, lifetime, exergy, ablations, histreset, fleet, all (fleet only when named: its summary reports host-dependent wall-clock throughput; histreset only when named, so that all keeps its output)")
 		buildings  = flag.Int("buildings", 100, "fleet size for -fig fleet")
-		shards     = flag.Int("shards", 0, "fleet shard count for -fig fleet (0 = NumCPU)")
+		shards     = flag.Int("shards", 0, "fleet worker count for -fig fleet (0 = NumCPU)")
 		seed       = flag.Uint64("seed", 1, "simulation seed")
 		hours      = flag.Float64("hours", 5, "networking-scenario length in simulated hours (figs 12-15)")
 		csv        = flag.String("csv", "", "write the figure's underlying series as CSV to this file")

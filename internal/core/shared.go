@@ -9,7 +9,7 @@ package core
 //
 // The handle is immutable after construction. Callers must not mutate the
 // Config reachable through it; Systems read it concurrently from every
-// fleet shard.
+// fleet worker.
 type Shared struct {
 	cfg Config
 }

@@ -11,12 +11,12 @@ import (
 )
 
 // FleetScaleResult captures the fleet-scale experiment: N independent
-// BubbleZERO buildings with varied climates and occupancy, stepped
-// sharded across cores, with the per-building memory cost and the
+// BubbleZERO buildings with varied climates and occupancy, stepped by a
+// worker per core, with the per-building memory cost and the
 // aggregate stepping rate on the way.
 type FleetScaleResult struct {
 	Buildings int
-	Shards    int
+	Shards    int // workers that stepped the fleet
 	SimHours  float64
 	// BytesPerBuilding is the live-heap cost per building at
 	// construction as fleet.Config.BytesPerBuilding computes it from the
@@ -37,8 +37,8 @@ type FleetScaleResult struct {
 }
 
 // FleetScale builds an n-building fleet from the default tropical
-// variation template and steps it for d of simulated time. shards = 0
-// picks NumCPU.
+// variation template and steps it for d of simulated time on shards
+// workers; 0 picks NumCPU.
 func FleetScale(ctx context.Context, seed uint64, n, shards int, d time.Duration) (*FleetScaleResult, error) {
 	cfg := fleet.DefaultConfig(n)
 	cfg.Seed = seed
@@ -72,7 +72,7 @@ func FleetScale(ctx context.Context, seed uint64, n, shards int, d time.Duration
 // Summary renders the fleet experiment for the console.
 func (r *FleetScaleResult) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Fleet: %d buildings × %.1f h across %d shard(s): %.1f KiB/building, %.0f building-ticks/s\n",
+	fmt.Fprintf(&b, "Fleet: %d buildings × %.1f h across %d worker(s): %.1f KiB/building, %.0f building-ticks/s\n",
 		r.Buildings, r.SimHours, r.Shards,
 		float64(r.BytesPerBuilding)/1024, r.BuildingTicksPerSec)
 	fmt.Fprintf(&b, "  temp avg %.2f°C [%.2f, %.2f], dew avg %.2f°C, COP %.2f (%d/%d buildings), condensation %.0f s\n",

@@ -5,11 +5,11 @@
 // parameterized per building (seed, climate boundary, occupancy, fault
 // plan) by a pure function of the fleet seed and the building index.
 //
-// Buildings are sharded across a bounded worker pool: each shard owns a
-// disjoint subset and steps it sequentially, so inside an epoch there is
-// no cross-shard synchronization and no shared mutable state. Because
+// A bounded worker pool steps the buildings: within an epoch each worker
+// claims the next unstepped building and steps it alone, so there is no
+// synchronization between buildings and no shared mutable state. Because
 // buildings never interact, a building stepped inside an N-building fleet
-// at any shard count produces bit-identical outputs to the same building
+// at any worker count produces bit-identical outputs to the same building
 // stepped alone — the property the determinism tests pin.
 package fleet
 
@@ -63,9 +63,10 @@ func (v Variation) climate() bool {
 type Config struct {
 	// Buildings is the fleet size N. Must be > 0.
 	Buildings int
-	// Shards is the number of workers the buildings are partitioned
-	// across. 0 selects NumCPU; otherwise it must lie in [1, Buildings].
-	// The shard count never affects simulation results, only wall-clock.
+	// Shards is the number of workers that step the buildings, each
+	// claiming the next building in turn; the field keeps its older name.
+	// 0 selects NumCPU; otherwise it must lie in [1, Buildings]. The
+	// worker count never affects simulation results, only wall-clock.
 	Shards int
 	// Seed is the fleet seed every per-building seed derives from.
 	Seed uint64
@@ -87,7 +88,7 @@ type Config struct {
 	// pre-allocated ring of the most recent n samples. 0 keeps unbounded
 	// history (the single-building default).
 	SampleRetention int
-	// EpochTicks is the epoch length: shards synchronize (and the run
+	// EpochTicks is the epoch length: workers synchronize (and the run
 	// becomes cancellable) every EpochTicks ticks. 0 selects 512. The
 	// epoch length never affects per-building results.
 	EpochTicks int
@@ -119,7 +120,7 @@ func DefaultConfig(n int) Config {
 }
 
 // Validate checks the fleet configuration, including the fleet knobs'
-// ranges: building count > 0, shard count in [1, N] (or 0 for auto), a
+// ranges: building count > 0, worker count in [1, N] (or 0 for auto), a
 // non-negative memory budget, and a retention whose ring Go can allocate
 // (trace.MaxRetention).
 func (c Config) Validate() error {
@@ -206,7 +207,7 @@ func (c *Config) sampled(i int) bool {
 
 // BuildingParams is the deterministic parameterisation of one building:
 // a pure function of (fleet seed, index) via ParamsFor, independent of
-// shard count, worker scheduling, and every other building.
+// worker count, worker scheduling, and every other building.
 type BuildingParams struct {
 	Index int
 	// Seed drives every stochastic element of the building's simulation.

@@ -55,7 +55,7 @@ func ParseEventKind(s string) (EventKind, error) {
 // Event is a live mutation of a running fleet — the ONLY way state enters
 // one after construction. Events are queued by Apply and take effect at
 // the next epoch boundary, so every building sees them at the same tick
-// regardless of sharding; the applied tick is journaled for snapshot
+// whichever worker steps it; the applied tick is journaled for snapshot
 // replay.
 type Event struct {
 	Kind EventKind

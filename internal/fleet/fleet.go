@@ -14,21 +14,22 @@ import (
 )
 
 // defaultEpochTicks is the epoch length when Config.EpochTicks is 0. It
-// only trades scheduling granularity (cancellation latency, shard
-// rebalancing points) against per-epoch dispatch overhead; results are
+// only trades scheduling granularity (cancellation latency, how often
+// events land) against per-epoch dispatch overhead; results are
 // epoch-invariant because sim.Engine.RunTicks flushes the cadence wheel
 // on every run exit.
 const defaultEpochTicks = 512
 
-// Fleet is N independent BubbleZERO buildings stepped in lockstep epochs,
-// sharded across a bounded worker pool.
+// Fleet is N independent BubbleZERO buildings stepped in lockstep epochs
+// by a bounded worker pool, whose workers claim the buildings one at a
+// time.
 //
 //bzlint:guards evMu pendingEv,journal
 type Fleet struct {
 	cfg       Config
-	shards    [][]building // disjoint contiguous blocks of buildings
-	buildings []building   // index order, buildings[i] is building i
+	buildings []building // index order, buildings[i] is building i
 	pool      *runner.Pool
+	workers   int
 
 	epochTicks uint64
 	step       time.Duration
@@ -56,10 +57,9 @@ type building struct {
 	sys *core.System
 }
 
-// New validates cfg, instantiates the fleet's buildings in parallel, and
-// partitions them into shards. It fails before building anything when
-// cfg's computed size per building (Config.BytesPerBuilding) exceeds
-// cfg.MemBudgetBytes.
+// New validates cfg and instantiates the fleet's buildings in parallel.
+// It fails before building anything when cfg's computed size per
+// building (Config.BytesPerBuilding) exceeds cfg.MemBudgetBytes.
 func New(ctx context.Context, cfg Config) (*Fleet, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -68,13 +68,11 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 		return nil, fmt.Errorf("fleet: %d buildings cost %d B/building live heap, over the %d B budget",
 			cfg.Buildings, size, cfg.MemBudgetBytes)
 	}
-	nShards := cfg.Shards
-	if nShards == 0 {
-		nShards = runtime.NumCPU()
+	workers := cfg.Shards
+	if workers == 0 {
+		workers = runtime.NumCPU()
 	}
-	if nShards > cfg.Buildings {
-		nShards = cfg.Buildings
-	}
+	workers = min(workers, cfg.Buildings)
 	epoch := uint64(cfg.EpochTicks)
 	if epoch == 0 {
 		epoch = defaultEpochTicks
@@ -88,7 +86,8 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 	f := &Fleet{
 		cfg:        cfg,
 		buildings:  make([]building, cfg.Buildings),
-		pool:       runner.NewPool(nShards),
+		pool:       runner.NewPool(workers),
+		workers:    workers,
 		epochTicks: epoch,
 		step:       cfg.Base.Step,
 	}
@@ -104,16 +103,6 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 		return nil
 	}); err != nil {
 		return nil, err
-	}
-
-	// Contiguous block partition: shard s owns [s*N/S, (s+1)*N/S). Block
-	// assignment keeps each shard's buildings adjacent in memory and makes
-	// the ownership trivially disjoint.
-	f.shards = make([][]building, nShards)
-	for s := 0; s < nShards; s++ {
-		lo := s * cfg.Buildings / nShards
-		hi := (s + 1) * cfg.Buildings / nShards
-		f.shards[s] = f.buildings[lo:hi:hi]
 	}
 	return f, nil
 }
@@ -194,22 +183,12 @@ func Standalone(cfg Config, i int) (*core.System, error) {
 	return newBuilding(&cfg, quiet, sampled, i)
 }
 
-// stepShard advances every building the shard owns by `ticks`. This is
+// step advances the building by `ticks` under its lock. The unlock is
+// deferred, so a Step that panics leaves the building readable. This is
 // the fleet hot path: everything it reaches must stay deterministic and
 // allocation-free in steady state.
 //
 //bzlint:hotpath
-func stepShard(ctx context.Context, shard []building, ticks uint64) error {
-	for i := range shard {
-		if err := shard[i].step(ctx, ticks); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// step advances the building by `ticks` under its lock. The unlock is
-// deferred, so a Step that panics leaves the building readable.
 func (b *building) step(ctx context.Context, ticks uint64) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -225,12 +204,14 @@ func (b *building) update(fn func(sys *core.System)) {
 }
 
 // RunTicks advances every building by n ticks, in epochs of EpochTicks.
-// Within an epoch each shard steps its buildings sequentially with no
-// cross-shard communication; shards only rejoin at epoch boundaries. A
-// building is stepped, and changed by an event, under its own lock, so
-// ViewBuilding may read any building while RunTicks runs.
-// Per-building results are independent of the shard count and epoch
-// length.
+// Within an epoch the pool's workers claim the buildings one at a time,
+// in the order claimOrder gives, and step each through the whole epoch;
+// the workers rejoin only at epoch boundaries. A worker that waits on
+// one building, for a reader or a slow step, holds up no other building.
+// A building is stepped, and changed by an event, under its own lock, so
+// ViewBuilding may read any building while RunTicks runs. Per-building
+// results are independent of the worker count, the claim order and the
+// epoch length.
 func (f *Fleet) RunTicks(ctx context.Context, n uint64) error {
 	for n > 0 {
 		if err := f.drainEvents(); err != nil {
@@ -240,8 +221,8 @@ func (f *Fleet) RunTicks(ctx context.Context, n uint64) error {
 		if t > n {
 			t = n
 		}
-		if err := f.pool.ForEach(ctx, len(f.shards), func(ctx context.Context, s int) error {
-			return stepShard(ctx, f.shards[s], t)
+		if err := f.pool.ForEach(ctx, len(f.buildings), func(ctx context.Context, j int) error {
+			return f.buildings[f.claimOrder(j)].step(ctx, t)
 		}); err != nil {
 			f.stepErr = err
 			return err
@@ -252,14 +233,36 @@ func (f *Fleet) RunTicks(ctx context.Context, n uint64) error {
 	return nil
 }
 
+// claimOrder maps an epoch's j-th claim to the building it steps. The
+// workers take turns at the claim counter, so consecutive claims run at
+// the same time on different CPUs. claimOrder deals them out across
+// Workers equal blocks of q = n/Workers buildings: claim j steps
+// building (j mod Workers)·q + j/Workers, and the last n mod Workers
+// claims step the last buildings in order. Buildings stepped at the
+// same time are then q apart, where a shard partition put them. Index
+// neighbours stepped at the same time cost a 64-building fleet's runner
+// 8-9% of its rate (12-14% when one worker had built the fleet, which
+// points at neighbours' objects sharing cache lines) and widened the
+// spread of a live twin's rate from run to run (EXPERIMENTS.md, "Claim
+// order"). One worker claims in index order.
+func (f *Fleet) claimOrder(j int) int {
+	w := f.workers
+	q := len(f.buildings) / w
+	if j >= q*w {
+		return j
+	}
+	return j%w*q + j/w
+}
+
 // Run advances every building by d of simulated time (truncated to whole
 // ticks, matching System.Run).
 func (f *Fleet) Run(ctx context.Context, d time.Duration) error {
 	return f.RunTicks(ctx, uint64(d/f.step))
 }
 
-// Shards returns the effective shard count.
-func (f *Fleet) Shards() int { return len(f.shards) }
+// Shards returns the effective worker count: Config.Shards, or NumCPU
+// for 0, at most one per building.
+func (f *Fleet) Shards() int { return f.workers }
 
 // Ticks returns how many ticks every building has advanced.
 func (f *Fleet) Ticks() uint64 { return f.ticks }

@@ -186,6 +186,39 @@ func TestFleetDeterminismAcrossShardCounts(t *testing.T) {
 	}
 }
 
+// TestClaimOrderSpreadsConcurrentClaims checks that claimOrder steps
+// every building once per epoch, keeps index order at one worker, and
+// puts each round of Workers consecutive claims, which run at the same
+// time on different workers, n/Workers buildings apart.
+func TestClaimOrderSpreadsConcurrentClaims(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 8, 64, 67, 8192} {
+		for _, w := range []int{1, 2, 3, 4, 16} {
+			w = min(w, n)
+			f := &Fleet{buildings: make([]building, n), workers: w}
+			seen := make([]bool, n)
+			for j := 0; j < n; j++ {
+				i := f.claimOrder(j)
+				if i < 0 || i >= n || seen[i] {
+					t.Fatalf("n=%d workers=%d: claim %d steps building %d, out of range or stepped twice", n, w, j, i)
+				}
+				seen[i] = true
+				if w == 1 && i != j {
+					t.Fatalf("n=%d, one worker: claim %d steps building %d, want index order", n, j, i)
+				}
+			}
+			q := n / w
+			for j := 0; j < q*w; j += w {
+				for k := 1; k < w; k++ {
+					if d := f.claimOrder(j+k) - f.claimOrder(j+k-1); d != q {
+						t.Fatalf("n=%d workers=%d: claims %d and %d step buildings %d apart, want %d",
+							n, w, j+k-1, j+k, d, q)
+					}
+				}
+			}
+		}
+	}
+}
+
 // roomStateKey fingerprints a building's exact zone state (temperature,
 // humidity ratio, CO₂ per zone) as hex float bits, so two buildings
 // compare bit-for-bit without a recorder.
@@ -266,29 +299,34 @@ func TestFleetMixedShardBitIdenticalToStandalone(t *testing.T) {
 // TestFleetTickSteadyStateAllocs pins the fleet tick allocation-free in
 // steady state: once histograms have learned their variance ranges, an
 // entire epoch allocates only the worker-pool dispatch scaffolding (the
-// per-epoch jobs slice and its closures — 3 objects on the single-shard
-// fast path), independent of the tick count covered.
+// claim state and the epoch's step closure, plus one closure per worker
+// goroutine: 2 objects at one worker, 3 at two), independent of the tick
+// count covered and of the buildings claimed.
 func TestFleetTickSteadyStateAllocs(t *testing.T) {
-	cfg := DefaultConfig(12)
-	cfg.Shards = 1
-	cfg.EpochTicks = 256
-	f, err := New(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	ctx := context.Background()
-	// Warm up past the adaptive layer's range-learning phase (the
-	// paper's var_max settles within ~1.5 simulated hours).
-	if err := f.RunTicks(ctx, 12000); err != nil {
-		t.Fatalf("warm-up: %v", err)
-	}
-	avg := testing.AllocsPerRun(5, func() {
-		if err := f.RunTicks(ctx, 256); err != nil {
-			t.Fatalf("RunTicks: %v", err)
-		}
-	})
-	if avg > 4 {
-		t.Errorf("steady-state fleet epoch allocated %.1f objects, want <= 4 (dispatch scaffolding only)", avg)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprint("workers=", workers), func(t *testing.T) {
+			cfg := DefaultConfig(12)
+			cfg.Shards = workers
+			cfg.EpochTicks = 256
+			f, err := New(context.Background(), cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			ctx := context.Background()
+			// Warm up past the adaptive layer's range-learning phase (the
+			// paper's var_max settles within ~1.5 simulated hours).
+			if err := f.RunTicks(ctx, 12000); err != nil {
+				t.Fatalf("warm-up: %v", err)
+			}
+			avg := testing.AllocsPerRun(5, func() {
+				if err := f.RunTicks(ctx, 256); err != nil {
+					t.Fatalf("RunTicks: %v", err)
+				}
+			})
+			if avg > 4 {
+				t.Errorf("steady-state fleet epoch allocated %.1f objects, want <= 4 (dispatch scaffolding only)", avg)
+			}
+		})
 	}
 }
 
@@ -298,23 +336,28 @@ func TestFleetTickSteadyStateAllocs(t *testing.T) {
 // join, so nothing a building steps with grows after New. Grown during
 // the run, they would be about 14 KB per building over the first 64
 // ticks, and in an 8,192-building fleet that garbage can set off a
-// collection of the whole fleet's heap while it is being timed.
+// collection of the whole fleet's heap while it is being timed. At two
+// workers the epoch's claims allocate nothing per building either.
 func TestFleetFirstTicksAllocateNothing(t *testing.T) {
-	cfg := DefaultConfig(16)
-	cfg.Shards = 1
-	f, err := New(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err = f.RunTicks(context.Background(), 64) // one epoch
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatalf("RunTicks: %v", err)
-	}
-	if n := after.Mallocs - before.Mallocs; n > 4 {
-		t.Errorf("the first 64 ticks of 16 buildings allocated %d objects, want <= 4 (dispatch scaffolding only)", n)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprint("workers=", workers), func(t *testing.T) {
+			cfg := DefaultConfig(16)
+			cfg.Shards = workers
+			f, err := New(context.Background(), cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err = f.RunTicks(context.Background(), 64) // one epoch
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("RunTicks: %v", err)
+			}
+			if n := after.Mallocs - before.Mallocs; n > 4 {
+				t.Errorf("the first 64 ticks of 16 buildings allocated %d objects, want <= 4 (dispatch scaffolding only)", n)
+			}
+		})
 	}
 }
 

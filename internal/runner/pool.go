@@ -1,6 +1,7 @@
 // Package runner provides the concurrency substrate for the experiment
-// suite: a bounded worker Pool that fans independent experiment closures
-// across goroutines with first-error cancellation, a singleflight Cache
+// suite: a bounded worker Pool whose workers claim independent jobs from
+// one counter and stop claiming at the first error (Run also cancels the
+// jobs still running; ForEach lets them finish), a singleflight Cache
 // that deduplicates identical expensive computations, and deterministic
 // per-job seed derivation so parallel experiments draw from disjoint,
 // reproducible random streams.
@@ -23,6 +24,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
 // Job is one unit of independent work. Jobs must not share mutable state
@@ -44,79 +46,112 @@ func NewPool(workers int) *Pool {
 	return &Pool{workers: workers}
 }
 
-// Run executes the jobs concurrently on at most Workers goroutines and
-// waits for all of them. The first error cancels the context handed to the
-// remaining jobs; jobs not yet started are skipped once an error is
-// recorded. The first error (in completion order) is returned. A job's
-// panic is that job's error.
+// Run executes the jobs concurrently on at most Workers goroutines, the
+// caller among them, and waits for all of them. The first error cancels
+// the context handed to the jobs still running, and no job starts after
+// it. The first error (in completion order) is returned. A job's panic
+// is that job's error.
 func (p *Pool) Run(ctx context.Context, jobs ...Job) error {
-	if len(jobs) == 0 {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	return p.claim(ctx, &claims{
+		n:      int64(len(jobs)),
+		fn:     func(ctx context.Context, i int) error { return jobs[i](ctx) },
+		cancel: cancel,
+	})
+}
+
+// ForEach runs fn for every index in [0, n) on at most Workers
+// goroutines, the caller among them. Each worker claims the next index
+// from one shared counter whenever it finishes the last, so a slow index
+// holds up only the worker that runs it, and an index costs neither a
+// closure nor a channel send. The first error, in completion order,
+// stops new claims and is returned: an error fn returns is wrapped "job
+// %d:", and fn's panic is its index's error as it stands. The indices
+// still running finish under ctx. Results must be written into
+// per-index slots; the order is unspecified, and without an error every
+// index in [0, n) runs exactly once.
+func (p *Pool) ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+	return p.claim(ctx, &claims{n: int64(n), fn: fn, wrap: true})
+}
+
+// claims is one fan-out: its workers take the indices [0, n) in order
+// from next, and record the first error one of them meets.
+//
+//bzlint:guards mu err
+type claims struct {
+	n    int64
+	fn   func(ctx context.Context, i int) error
+	wrap bool // ForEach's: a returned error names its index
+	// cancel, when set, cancels the jobs in flight on the first error.
+	cancel context.CancelFunc
+
+	next    atomic.Int64
+	stopped atomic.Bool
+	wg      sync.WaitGroup // the workers besides the caller
+	mu      sync.Mutex
+	err     error
+}
+
+// claim runs c on at most p.workers goroutines, the caller among them,
+// and returns c's first error, or else ctx's.
+func (p *Pool) claim(ctx context.Context, c *claims) error {
+	if c.n <= 0 {
 		return nil
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	// A single in-flight job needs no goroutines; this keeps width-1 pools
-	// (and the common one-job case) trivially deterministic to debug.
-	if len(jobs) == 1 {
-		return call(ctx, jobs[0])
-	}
-
-	jobCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-		mu.Unlock()
-	}
-
-	workers := p.workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	next := make(chan Job)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for range min(int64(p.workers), c.n) - 1 {
+		c.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			for job := range next {
-				if jobCtx.Err() != nil {
-					continue // drain: an earlier job already failed
-				}
-				if err := call(jobCtx, job); err != nil {
-					fail(err)
-				}
-			}
+			defer c.wg.Done()
+			c.work(ctx)
 		}()
 	}
-	for _, job := range jobs {
-		next <- job
-	}
-	close(next)
-	wg.Wait()
-
-	mu.Lock()
-	defer mu.Unlock()
-	if firstErr != nil {
-		return firstErr
+	c.work(ctx)
+	c.wg.Wait()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err != nil {
+		return c.err
 	}
 	return ctx.Err()
 }
 
-// call runs job and returns its error, or the panic it raised as an error
-// with the panicking goroutine's stack.
-func call(ctx context.Context, job Job) (err error) {
+// work claims and runs indices until none is left, an index has failed,
+// or ctx is done.
+func (c *claims) work(ctx context.Context) {
+	for !c.stopped.Load() && ctx.Err() == nil {
+		i := c.next.Add(1) - 1
+		if i >= c.n {
+			return
+		}
+		if err := c.run(ctx, int(i)); err != nil {
+			c.mu.Lock()
+			if c.err == nil {
+				c.err = err
+				c.stopped.Store(true)
+				if c.cancel != nil {
+					c.cancel()
+				}
+			}
+			c.mu.Unlock()
+			return
+		}
+	}
+}
+
+// run runs index i, turning its panic into its error.
+func (c *claims) run(ctx context.Context, i int) (err error) {
 	defer Recover(&err)
-	return job(ctx)
+	if err := c.fn(ctx, i); err != nil {
+		if c.wrap {
+			return fmt.Errorf("job %d: %w", i, err)
+		}
+		return err
+	}
+	return nil
 }
 
 // Recover, deferred, turns a panic into *err the way a pool job's panic
@@ -127,23 +162,6 @@ func Recover(err *error) {
 	if v := recover(); v != nil {
 		*err = fmt.Errorf("panic: %v\n\n%s", v, debug.Stack())
 	}
-}
-
-// ForEach runs fn for every index in [0, n) through the pool. Results
-// must be written into per-index slots; the iteration order is unspecified
-// but the set of indices is exactly [0, n).
-func (p *Pool) ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	jobs := make([]Job, n)
-	for i := 0; i < n; i++ {
-		i := i
-		jobs[i] = func(ctx context.Context) error {
-			if err := fn(ctx, i); err != nil {
-				return fmt.Errorf("job %d: %w", i, err)
-			}
-			return nil
-		}
-	}
-	return p.Run(ctx, jobs...)
 }
 
 // DeriveSeed maps a (base seed, job index) pair to an independent seed via

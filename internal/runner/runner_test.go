@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,69 +12,139 @@ import (
 	"time"
 )
 
+// TestPoolRunsEveryJobOnce pins the claim loop's coverage: at every
+// width, wider and narrower than n, each index runs exactly once.
 func TestPoolRunsEveryJobOnce(t *testing.T) {
-	const n = 100
-	var counts [n]atomic.Int32
-	p := NewPool(4)
-	err := p.ForEach(context.Background(), n, func(_ context.Context, i int) error {
-		counts[i].Add(1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range counts {
-		if got := counts[i].Load(); got != 1 {
-			t.Errorf("job %d ran %d times", i, got)
-		}
-	}
-}
-
-func TestPoolBoundsConcurrency(t *testing.T) {
-	const workers = 3
-	var inFlight, peak atomic.Int32
-	p := NewPool(workers)
-	err := p.ForEach(context.Background(), 50, func(context.Context, int) error {
-		cur := inFlight.Add(1)
-		for {
-			old := peak.Load()
-			if cur <= old || peak.CompareAndSwap(old, cur) {
-				break
+	for _, workers := range []int{1, 2, 4, 16} {
+		for _, n := range []int{0, 1, 3, 100} {
+			counts := make([]atomic.Int32, n)
+			err := NewPool(workers).ForEach(context.Background(), n, func(_ context.Context, i int) error {
+				counts[i].Add(1)
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("workers=%d n=%d: %v", workers, n, err)
+			}
+			for i := range counts {
+				if got := counts[i].Load(); got != 1 {
+					t.Errorf("workers=%d n=%d: index %d ran %d times", workers, n, i, got)
+				}
 			}
 		}
-		time.Sleep(time.Millisecond)
-		inFlight.Add(-1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := peak.Load(); got > workers {
-		t.Errorf("peak concurrency %d exceeds %d workers", got, workers)
 	}
 }
 
+// TestPoolForEachStopsClaimsAfterFirstError pins what ForEach does on
+// its first error. Index 0 fails after 10 ms and every other index takes
+// 50 ms, so each worker starts at most the one index it claimed before
+// the failure, and the error names the failed index. The indices still
+// running finish under the caller's context, which ForEach does not
+// cancel (only Run does), and ForEach returns after them.
+func TestPoolForEachStopsClaimsAfterFirstError(t *testing.T) {
+	boom := errors.New("boom")
+	for _, workers := range []int{1, 2, 4} {
+		var started, finished, cancelled atomic.Int32
+		err := NewPool(workers).ForEach(context.Background(), 100, func(ctx context.Context, i int) error {
+			started.Add(1)
+			defer finished.Add(1)
+			if i == 0 {
+				time.Sleep(10 * time.Millisecond)
+				return boom
+			}
+			time.Sleep(50 * time.Millisecond)
+			if ctx.Err() != nil {
+				cancelled.Add(1)
+			}
+			return nil
+		})
+		if !errors.Is(err, boom) || !strings.HasPrefix(err.Error(), "job 0: ") {
+			t.Fatalf("workers=%d: err = %v, want job 0's %v", workers, err, boom)
+		}
+		if got := started.Load(); got > int32(workers) {
+			t.Errorf("workers=%d: %d indices started, want at most one per worker", workers, got)
+		}
+		if got, want := finished.Load(), started.Load(); got != want {
+			t.Errorf("workers=%d: ForEach returned with %d of %d started indices finished", workers, got, want)
+		}
+		if got := cancelled.Load(); got != 0 {
+			t.Errorf("workers=%d: %d indices in flight saw a cancelled context, want none", workers, got)
+		}
+	}
+}
+
+// TestPoolBoundsConcurrency pins the width of both fan-outs, the caller
+// counted as a worker: no more than Workers jobs run at once, and the
+// pool starts at most Workers-1 goroutines besides the caller.
+func TestPoolBoundsConcurrency(t *testing.T) {
+	const workers, n = 3, 50
+	p := NewPool(workers)
+	for _, fanOut := range []string{"ForEach", "Run"} {
+		var inFlight, peak, peakGoroutines atomic.Int32
+		before := int32(runtime.NumGoroutine())
+		job := func(context.Context) error {
+			raise := func(v *atomic.Int32, cur int32) {
+				for {
+					old := v.Load()
+					if cur <= old || v.CompareAndSwap(old, cur) {
+						return
+					}
+				}
+			}
+			raise(&peak, inFlight.Add(1))
+			raise(&peakGoroutines, int32(runtime.NumGoroutine()))
+			time.Sleep(time.Millisecond)
+			inFlight.Add(-1)
+			return nil
+		}
+		var err error
+		if fanOut == "ForEach" {
+			err = p.ForEach(context.Background(), n, func(ctx context.Context, _ int) error { return job(ctx) })
+		} else {
+			jobs := make([]Job, n)
+			for i := range jobs {
+				jobs[i] = job
+			}
+			err = p.Run(context.Background(), jobs...)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := peak.Load(); got > workers {
+			t.Errorf("%s: peak concurrency %d exceeds %d workers", fanOut, got, workers)
+		}
+		if got := peakGoroutines.Load() - before; got > workers-1 {
+			t.Errorf("%s: %d goroutines beside the caller's, want at most %d", fanOut, got, workers-1)
+		}
+	}
+}
+
+// TestPoolFirstErrorCancels pins that Run's first error cancels the
+// context of the jobs still running. Two workers run the two jobs at
+// once: job 0 fails once job 1 has started, and job 1 waits for its
+// context to be done, or 30 s.
 func TestPoolFirstErrorCancels(t *testing.T) {
 	boom := errors.New("boom")
-	var started, cancelled atomic.Int32
-	p := NewPool(2)
-	err := p.ForEach(context.Background(), 40, func(ctx context.Context, i int) error {
-		started.Add(1)
-		if i == 0 {
+	started := make(chan struct{})
+	cancelled := false
+	err := NewPool(2).Run(context.Background(),
+		func(context.Context) error {
+			<-started
 			return boom
-		}
-		select {
-		case <-ctx.Done():
-			cancelled.Add(1)
-		case <-time.After(5 * time.Millisecond):
-		}
-		return nil
-	})
+		},
+		func(ctx context.Context) error {
+			close(started)
+			select {
+			case <-ctx.Done():
+				cancelled = true
+			case <-time.After(30 * time.Second):
+			}
+			return nil
+		})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped %v", err, boom)
 	}
-	if started.Load() == 40 {
-		t.Log("all jobs started before cancellation propagated (timing-dependent, not a failure)")
+	if !cancelled {
+		t.Error("job 1 ran to its end, want its context cancelled by job 0's error")
 	}
 }
 

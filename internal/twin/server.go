@@ -490,14 +490,49 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// csvFlushTimeout bounds each write of a CSV export. The export streams
+// while it holds its building's read lock, so a client that stopped
+// reading would hold up that building, and the runner with it, for as
+// long as it stayed connected. A client must instead take each 64 KiB
+// flush within csvFlushTimeout, a minimum rate of 32 KiB/s, or the export
+// fails and frees the building. Only this route has the bound: a
+// server-wide write timeout would cut off a large snapshot.
+const csvFlushTimeout = 2 * time.Second
+
+// csvResponse is the writer a CSV export streams into. It sets a write
+// deadline before each flush, and records that writing began, which
+// sends the status.
+type csvResponse struct {
+	w     http.ResponseWriter
+	rc    *http.ResponseController
+	wrote bool
+}
+
+func (c *csvResponse) Write(p []byte) (int, error) {
+	c.wrote = true
+	// A ResponseWriter that cannot take a deadline streams without one.
+	//bzlint:allow determinism a network write deadline, not tick code
+	if err := c.rc.SetWriteDeadline(time.Now().Add(csvFlushTimeout)); err != nil && !errors.Is(err, http.ErrNotSupported) {
+		return 0, err
+	}
+	return c.w.Write(p)
+}
+
 // handleQueryCSV streams the sample-and-hold CSV export for one or more
 // series (comma-separated "series" parameter; empty means every series).
+// An error before the first write is a 400. After it, WriteCSV fails
+// only on a write, and the handler sends nothing more: the status is
+// out, and net/http closes the connection the failed write broke, so
+// the client sees the body cut short.
 func (s *Server) handleQueryCSV(w http.ResponseWriter, r *http.Request, t *Twin, from, to time.Time, step time.Duration) {
 	building, err := parseBuilding(r, t.cfg.Buildings)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	cw := &csvResponse{w: w, rc: http.NewResponseController(w)}
+	// Later responses on the connection get no deadline from this one.
+	defer func() { _ = cw.rc.SetWriteDeadline(time.Time{}) }()
 	err = t.viewBuilding(building, func(sys *core.System) error {
 		rec := sys.Recorder()
 		names := rec.Names()
@@ -505,10 +540,9 @@ func (s *Server) handleQueryCSV(w http.ResponseWriter, r *http.Request, t *Twin,
 			names = strings.Split(raw, ",")
 		}
 		w.Header().Set("Content-Type", "text/csv")
-		return rec.WriteCSV(w, names, from, to, step)
+		return rec.WriteCSV(cw, names, from, to, step)
 	})
-	if err != nil {
-		// Headers may already be out; report what we can.
+	if err != nil && !cw.wrote {
 		writeError(w, http.StatusBadRequest, err)
 	}
 }

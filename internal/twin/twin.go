@@ -34,7 +34,8 @@ import (
 type Config struct {
 	// Buildings is the fleet size. Must be > 0.
 	Buildings int `json:"buildings"`
-	// Shards partitions the buildings across workers; 0 selects NumCPU.
+	// Shards is the number of workers that step the buildings, each
+	// claiming the next building in turn; 0 selects NumCPU.
 	Shards int `json:"shards,omitempty"`
 	// Seed is the fleet seed; 0 keeps the fleet default.
 	Seed uint64 `json:"seed,omitempty"`
@@ -70,23 +71,28 @@ func (c Config) FleetConfig() (fleet.Config, error) {
 	return fc, nil
 }
 
-// A runner chunk aims at chunkBuildingTicks building-ticks, about 18 ms
-// at the ~450k building-ticks/s of a 2-vCPU host. A chunk is how long a
-// Snapshot or Close waits for the runner and how often Status sees its
-// progress; a query waits only for its own building's epoch inside it.
-// Small fleets keep maxChunkTicks, whose chunk is shorter still. Large
-// fleets get at least minChunkTicks: every Fleet.RunTicks call pays for
-// a shard barrier and a walk over every building's state, and 8-tick
-// calls slowed a 1000-building twin's runner by a third against
-// 512-tick calls.
+// A runner chunk aims at chunkBuildingTicks building-ticks. A chunk is
+// how long a Snapshot or Close waits for the runner and how often Status
+// sees its progress; a query waits only for its own building's epoch
+// inside it. A chunk's end is also when a query gets a CPU at all: while
+// the pool's workers claim buildings they keep every CPU busy, and the
+// Go scheduler looks for newly arrived requests only when a CPU runs out
+// of work (or from its monitor, about every 10 ms). The aim was measured
+// on a 2-vCPU host at 64 buildings, where it is the 32-tick floor and
+// lasts about 4.5 ms, and at 8, 16 and 32 buildings; at the other sizes
+// from 5 to 63 buildings its latency and runner rate are unverified
+// (DESIGN.md §11). Small fleets keep maxChunkTicks. Large fleets get at
+// least minChunkTicks: every Fleet.RunTicks call pays for a barrier and
+// a walk over every building's state, and 8-tick calls slowed a
+// 1000-building twin's runner by a third against 512-tick calls.
 const (
-	chunkBuildingTicks = 8192
+	chunkBuildingTicks = 2048
 	minChunkTicks      = 32
 	maxChunkTicks      = 512
 )
 
 // chunkTicks is the runner's chunk for a fleet of the given size: 512
-// ticks up to 16 buildings, 128 at 64, 32 from 256 up.
+// ticks up to 4 buildings, 256 at 8, 128 at 16, 32 from 64 up.
 func chunkTicks(buildings int) uint64 {
 	return uint64(min(maxChunkTicks, max(minChunkTicks, chunkBuildingTicks/buildings)))
 }

@@ -706,13 +706,13 @@ func TestSnapshotVersionGuard(t *testing.T) {
 	}
 }
 
-// TestChunkTicks pins the runner's chunk rule: 8192 building-ticks per
-// lock window, within 32 to 512 ticks.
+// TestChunkTicks pins the runner's chunk rule: 2048 building-ticks per
+// chunk, within 32 to 512 ticks.
 func TestChunkTicks(t *testing.T) {
 	for _, c := range []struct {
 		buildings int
 		want      uint64
-	}{{1, 512}, {3, 512}, {16, 512}, {17, 481}, {64, 128}, {256, 32}, {1000, 32}, {8192, 32}} {
+	}{{1, 512}, {3, 512}, {4, 512}, {5, 409}, {16, 128}, {17, 120}, {64, 32}, {256, 32}, {1000, 32}, {8192, 32}} {
 		if got := chunkTicks(c.buildings); got != c.want {
 			t.Errorf("chunkTicks(%d) = %d, want %d", c.buildings, got, c.want)
 		}
@@ -1031,8 +1031,8 @@ func serveWithin(t *testing.T, h http.Handler, target string) *httptest.Response
 }
 
 // TestQueryAnswersWhileRunnerWaitsOnAnotherBuilding pins that a reader
-// waits for its own building only. One shard steps buildings 0, 1 and 2
-// in turn; while a reader holds building 2 and the runner, mid-chunk,
+// waits for its own building only. One worker claims buildings 0, 1 and
+// 2 in turn; while a reader holds building 2 and the runner, mid-chunk,
 // waits to step it, queries on buildings 0 and 1 answer. A fleet-wide
 // lock would hold them behind the waiting runner until the reader
 // finished, and a max-window CSV export reads one building for 0.4–0.5 s.
@@ -1111,7 +1111,8 @@ func TestQueryAnswersWhileRunnerWaitsOnAnotherBuilding(t *testing.T) {
 // and leaves the process and every other twin running. The failed twin
 // serves no snapshot, but it answers queries, on the building whose Step
 // panicked too: the panic released that building's lock. One twin steps
-// its single shard inline, the other on pool workers.
+// its buildings on the runner's goroutine alone, the other on two
+// workers.
 func TestRunnerPanicFailsOnlyItsTwin(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprint("shards=", shards), func(t *testing.T) {
