@@ -60,13 +60,18 @@ race-fault:
 # status reads take only the run-queue lock. A panic in a Step, an event
 # or a journal replay must leave every building lock free. The snapshot
 # round trips run here too, because a fleet exports and restores its
-# buildings on its worker pool. So do the pool's claim loop, a fleet's
+# buildings on its worker pool, and a streamed restore hands each decoded
+# building to a goroutine that builds and restores it: a stream cut
+# mid-building, a header's untrusted building count, a panic while a
+# building restores, a source that fails and a request cancelled after
+# its body must stop both sides, leave no goroutine and register no
+# twin. So do the pool's claim loop, a fleet's
 # buildings claimed at several worker counts against standalone runs,
 # and a CSV client that stalls while its export holds a building; these
 # last two take seconds a run, so they run twice.
 race-twin:
-	$(GO) test -race -count=10 -run 'StatusDoesNotWait|ReadersWhileRunning|TestQueryAnswersWhileRunnerWaitsOnAnotherBuilding|TestRunnerPanicFailsOnlyItsTwin|TestTwinSnapshotRoundTrip|TestServerSnapshotRestoreAcrossServers' ./internal/twin
-	$(GO) test -race -count=10 -run 'TestEventPanicFailsTheRun|TestRestoreReplayPanicIsAnError|TestFleetSnapshotRoundTrip|TestFleetStateErrorsNameLowestBuilding' ./internal/fleet
+	$(GO) test -race -count=10 -run 'StatusDoesNotWait|ReadersWhileRunning|TestQueryAnswersWhileRunnerWaitsOnAnotherBuilding|TestRunnerPanicFailsOnlyItsTwin|TestTwinSnapshotRoundTrip|TestServerSnapshotRestoreAcrossServers|TestRestoreRouteStreamCutMidBuilding|TestRestoreRouteUntrustedBuildingCount|TestRestoreRouteCancelledAfterBodyRegistersNoTwin' ./internal/twin
+	$(GO) test -race -count=10 -run 'TestEventPanicFailsTheRun|TestRestoreReplayPanicIsAnError|TestFleetSnapshotRoundTrip|TestFleetStateErrorsNameLowestBuilding|TestRestoreMatchesUninterruptedRun|TestRestoreStopsAtFirstError|TestRestorePanicIsTheBuildingsError' ./internal/fleet
 	$(GO) test -race -count=10 -run 'TestPool' ./internal/runner
 	$(GO) test -race -count=2 -run 'TestFleetDeterminismAcrossShardCounts|TestFleetMixedShardBitIdenticalToStandalone' ./internal/fleet
 	$(GO) test -race -count=2 -run 'TestQueryCSVStalledClientFreesRunner' ./internal/twin

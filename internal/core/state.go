@@ -178,9 +178,7 @@ func (s *System) RestoreState(st SystemState) error {
 	for i, b := range s.broadcasters {
 		b.RestoreState(st.Broadcasters[i])
 	}
-	if err := s.rec.RestoreState(st.Recorder); err != nil {
-		return err
-	}
+	s.rec.RestoreState(st.Recorder)
 	if st.Watch != nil {
 		w := s.watch
 		w.tempAtS = st.Watch.TempAtS

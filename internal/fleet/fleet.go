@@ -61,37 +61,11 @@ type building struct {
 // It fails before building anything when cfg's computed size per
 // building (Config.BytesPerBuilding) exceeds cfg.MemBudgetBytes.
 func New(ctx context.Context, cfg Config) (*Fleet, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if size := cfg.BytesPerBuilding(); cfg.MemBudgetBytes > 0 && size > cfg.MemBudgetBytes {
-		return nil, fmt.Errorf("fleet: %d buildings cost %d B/building live heap, over the %d B budget",
-			cfg.Buildings, size, cfg.MemBudgetBytes)
-	}
-	workers := cfg.Shards
-	if workers == 0 {
-		workers = runtime.NumCPU()
-	}
-	workers = min(workers, cfg.Buildings)
-	epoch := uint64(cfg.EpochTicks)
-	if epoch == 0 {
-		epoch = defaultEpochTicks
-	}
-
-	quiet, sampled, err := sharedHandles(cfg)
+	f, quiet, sampled, err := newFleet(cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	f := &Fleet{
-		cfg:        cfg,
-		buildings:  make([]building, cfg.Buildings),
-		pool:       runner.NewPool(workers),
-		workers:    workers,
-		epochTicks: epoch,
-		step:       cfg.Base.Step,
-	}
-
+	f.buildings = make([]building, cfg.Buildings)
 	// Buildings are independent, so construction parallelises across the
 	// same pool that will step them. Each job writes only its own slot.
 	if err := f.pool.ForEach(ctx, cfg.Buildings, func(_ context.Context, i int) error {
@@ -105,6 +79,42 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 		return nil, err
 	}
 	return f, nil
+}
+
+// newFleet is what New and Restore do before they build a building: it
+// validates cfg, checks its computed size against the budget, and builds
+// the shared handles every building aliases. The fleet it returns holds
+// no building yet.
+func newFleet(cfg Config) (f *Fleet, quiet, sampled *core.Shared, err error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, nil, err
+	}
+	if size := cfg.BytesPerBuilding(); cfg.MemBudgetBytes > 0 && size > cfg.MemBudgetBytes {
+		return nil, nil, nil, fmt.Errorf("fleet: %d buildings cost %d B/building live heap, over the %d B budget",
+			cfg.Buildings, size, cfg.MemBudgetBytes)
+	}
+	workers := cfg.Shards
+	if workers == 0 {
+		workers = runtime.NumCPU()
+	}
+	workers = min(workers, cfg.Buildings)
+	epoch := uint64(cfg.EpochTicks)
+	if epoch == 0 {
+		epoch = defaultEpochTicks
+	}
+
+	if quiet, sampled, err = sharedHandles(cfg); err != nil {
+		return nil, nil, nil, err
+	}
+
+	f = &Fleet{
+		cfg:        cfg,
+		pool:       runner.NewPool(workers),
+		workers:    workers,
+		epochTicks: epoch,
+		step:       cfg.Base.Step,
+	}
+	return f, quiet, sampled, nil
 }
 
 // sharedHandles builds the one (or two) validated read-only config

@@ -68,10 +68,12 @@ func TestEventPanicFailsTheRun(t *testing.T) {
 }
 
 // TestRestoreReplayPanicIsAnError pins that a journal replay that panics,
-// on the restoring caller's goroutine, is RestoreState's error with its
-// stack (POST /twins/restore answers 400 with it) and leaves the
-// building's lock free. The panic is injected as above, on the restore
-// target's building 1, which the journal's fault event targets.
+// in building 1's pool job, is Fleet.RestoreState's error with its stack
+// and leaves the building's lock free. The replay runs in restoreBuilding,
+// the step fleet.Restore takes too on POST /twins/restore's path, where
+// restoreNext also recovers a panic as the building's error. The panic is
+// injected as above, on the restore target's building 1, which the
+// journal's fault event targets.
 func TestRestoreReplayPanicIsAnError(t *testing.T) {
 	ctx := context.Background()
 	cfg := DefaultConfig(3)

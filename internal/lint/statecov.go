@@ -21,7 +21,8 @@ import (
 // composite literal counts only the keys it names. A state struct whose
 // package declares GobEncode and GobDecode methods on it encodes itself,
 // so gob never sees its fields: every field must also be referenced in
-// both methods, under the same waiver. The analyzer also flags fields
+// both methods, under the same waiver, and may be unexported, as its own
+// codec carries it. The analyzer also flags fields
 // whose types gob cannot round-trip: func and chan types anywhere in the
 // field's type graph, and reachable struct types with unexported fields
 // (gob silently drops them) unless the type serializes itself via
@@ -149,7 +150,8 @@ func checkStateStruct(p *pass, f *ast.File, ts *ast.TypeSpec, st *ast.StructType
 	tn := p.pkg.Info.Defs[ts.Name]
 	enc := methodDecls(p.pkg.Info, funcs["GobEncode"], tn)
 	dec := methodDecls(p.pkg.Info, funcs["GobDecode"], tn)
-	if len(enc) > 0 && len(dec) > 0 {
+	selfEncoding := len(enc) > 0 && len(dec) > 0
+	if selfEncoding {
 		threads = append(threads,
 			threading{"capture", "GobEncode", refs(enc)},
 			threading{"restore", "GobDecode", refs(dec)})
@@ -164,7 +166,7 @@ func checkStateStruct(p *pass, f *ast.File, ts *ast.TypeSpec, st *ast.StructType
 					"thread the field through capture and restore, or waive it with //bzlint:allow statecov <reason>")
 			}
 		}
-		if !fi.obj.Exported() {
+		if !fi.obj.Exported() && !selfEncoding {
 			p.report(f, fi.pos, an,
 				fmt.Sprintf("unexported field %s.%s is invisible to gob", sname, name),
 				"export the field or waive it with //bzlint:allow statecov <reason>")

@@ -2,9 +2,10 @@
 // state struct (negative case), a struct with unthreaded, unexported,
 // and unserializable fields (positive cases), a per-field waiver, a
 // directive naming missing functions, a directive on a non-struct, and
-// two structs that encode themselves: one threads every field through
-// its GobEncode and GobDecode (negative case), one's GobDecode forgets a
-// field (positive case).
+// two structs that encode themselves: one threads every field, an
+// unexported one among them, through its GobEncode and GobDecode
+// (negative case), one's GobDecode forgets a field, exported or not
+// (positive cases).
 package statecov
 
 import "time"
@@ -86,41 +87,45 @@ func Restore(m *Machine, g GoodState, b BadState) {
 }
 
 // SelfGood encodes itself and threads every field through Export,
-// Restore, GobEncode and GobDecode — a negative case.
+// Restore, GobEncode and GobDecode — a negative case. Its codec carries
+// the unexported c, so gob not seeing it is no finding.
 //
 //bzlint:state Export Restore
 type SelfGood struct {
 	A float64
 	B float64
+	c float64
 }
 
-// SelfForgets encodes itself, but its GobDecode never sets Lost, so a
-// checkpoint would drop it although Export and Restore thread it.
+// SelfForgets encodes itself, but its GobDecode never sets Lost or lost,
+// so a checkpoint would drop them although Export and Restore thread
+// them.
 //
 //bzlint:state Export Restore
 type SelfForgets struct {
 	Kept float64
 	Lost float64 // want `field SelfForgets.Lost is not referenced in restore function GobDecode`
+	lost float64 // want `field SelfForgets.lost is not referenced in restore function GobDecode`
 	//bzlint:allow statecov derived in this fixture, recomputed after decode
 	Waived float64
 }
 
 // Export captures the self-encoding states.
 func (m *Machine) Export() (SelfGood, SelfForgets) {
-	return SelfGood{A: m.a, B: m.a}, SelfForgets{Kept: m.a, Lost: m.a, Waived: m.a}
+	return SelfGood{A: m.a, B: m.a, c: m.a}, SelfForgets{Kept: m.a, Lost: m.a, lost: m.a, Waived: m.a}
 }
 
 // Restore patches the self-encoding states back.
 func (m *Machine) Restore(g SelfGood, f SelfForgets) {
-	m.a = g.A + g.B + f.Kept + f.Lost + f.Waived
+	m.a = g.A + g.B + g.c + f.Kept + f.Lost + f.lost + f.Waived
 }
 
 // pack and unpack stand in for a real codec.
 func pack(vs ...float64) []byte             { return nil }
 func unpack(b []byte, vs ...*float64) error { return nil }
 
-func (s SelfGood) GobEncode() ([]byte, error) { return pack(s.A, s.B), nil }
-func (s *SelfGood) GobDecode(b []byte) error  { return unpack(b, &s.A, &s.B) }
+func (s SelfGood) GobEncode() ([]byte, error) { return pack(s.A, s.B, s.c), nil }
+func (s *SelfGood) GobDecode(b []byte) error  { return unpack(b, &s.A, &s.B, &s.c) }
 
-func (s SelfForgets) GobEncode() ([]byte, error) { return pack(s.Kept, s.Lost, s.Waived), nil }
+func (s SelfForgets) GobEncode() ([]byte, error) { return pack(s.Kept, s.Lost, s.lost, s.Waived), nil }
 func (s *SelfForgets) GobDecode(b []byte) error  { return unpack(b, &s.Kept) }

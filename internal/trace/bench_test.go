@@ -55,9 +55,7 @@ func BenchmarkRecorderStateGob(b *testing.B) {
 		if err := gob.NewDecoder(&buf).Decode(&st); err != nil {
 			b.Fatal(err)
 		}
-		if err := fresh.RestoreState(st); err != nil {
-			b.Fatal(err)
-		}
+		fresh.RestoreState(st)
 	}
 	b.ReportMetric(float64(size), "gob-bytes")
 }

@@ -38,9 +38,7 @@ func TestRecorderStateRoundTrip(t *testing.T) {
 	// A rebuilt system opens its series (empty) before restore arrives.
 	fresh.Series("a")
 	fresh.Series("b")
-	if err := fresh.RestoreState(st); err != nil {
-		t.Fatal(err)
-	}
+	fresh.RestoreState(st)
 
 	var want, got strings.Builder
 	if err := r.WriteExact(&want); err != nil {
@@ -66,19 +64,20 @@ func TestRecorderStateRoundTrip(t *testing.T) {
 	}
 }
 
-// Malformed decoded state is rejected with an error, not a panic, and the
-// recorder keeps its contents: every series is checked before any is
-// written.
+// Malformed state is rejected with an error, not a panic, and the
+// recorder keeps its contents: GobDecode checks every series, so a
+// checkpoint that carries a malformed one never reaches RestoreState.
 func TestRecorderRestoreStateRejects(t *testing.T) {
-	ok := SeriesState{Name: "ok", Nanos: []int64{1, 2}, Values: []float64{1, 2}}
+	ok := stateOf(t, "ok", 0, []int64{1, 2}, []float64{1, 2})
 	for _, tc := range []struct {
-		name string
-		bad  SeriesState
-		want string
+		name      string
+		retention int
+		bad       []byte
+		want      string
 	}{
-		{"unequal lengths", SeriesState{Name: "x", Nanos: []int64{1, 2, 3}, Values: []float64{1, 2}}, "3 timestamps but 2 values"},
-		{"decreasing nanos", SeriesState{Name: "x", Nanos: []int64{1, 5, 4}, Values: []float64{1, 2, 3}}, "precedes"},
-		{"negative retention", SeriesState{Name: "x", Retention: -1}, "negative retention"},
+		{"unequal lengths", 0, encodeColumns("x", 0, []int64{1, 2, 3}, []float64{1, 2}), "3 timestamps but 2 values"},
+		{"decreasing nanos", 0, encodeColumns("x", 0, []int64{1, 5, 4}, []float64{1, 2, 3}), "precedes"},
+		{"negative retention", -1, encodeColumns("x", -1, nil, nil), "negative retention"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := NewRecorder()
@@ -89,7 +88,12 @@ func TestRecorderRestoreStateRejects(t *testing.T) {
 			if err := r.WriteExact(&before); err != nil {
 				t.Fatal(err)
 			}
-			err := r.RestoreState(RecorderState{Series: []SeriesState{ok, tc.bad}})
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(RecorderState{Series: []SeriesState{ok, {Name: "x", Retention: tc.retention, data: tc.bad}}}); err != nil {
+				t.Fatal(err)
+			}
+			var st RecorderState
+			err := gob.NewDecoder(&buf).Decode(&st)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want it to mention %q", err, tc.want)
 			}
@@ -110,7 +114,7 @@ func TestRecorderRestoreStateRejects(t *testing.T) {
 // as a rebuilt fleet's sampled series have, refills that ring: the same
 // backing array, the same WriteExact bytes as the exporter, and no
 // allocation. A ring of another capacity is replaced, and a malformed
-// state still leaves the refillable ring untouched.
+// state, which GobDecode refuses, leaves the refillable ring untouched.
 func TestRecorderRestoreStateRefillsRing(t *testing.T) {
 	src := NewRecorder()
 	src.Series("r").SetRetention(8)
@@ -128,18 +132,14 @@ func TestRecorderRestoreStateRefillsRing(t *testing.T) {
 	dst := NewRecorder()
 	dst.Series("r").SetRetention(8)
 	ring := &dst.Series("r").ring[:1][0]
-	bad := RecorderState{Series: []SeriesState{st.Series[0], {Name: "x", Nanos: []int64{2, 1}, Values: []float64{0, 0}}}}
-	if err := dst.RestoreState(bad); err == nil {
-		t.Fatal("RestoreState accepted decreasing timestamps")
+	var bad SeriesState
+	if err := bad.GobDecode(encodeColumns("x", 0, []int64{2, 1}, []float64{0, 0})); err == nil {
+		t.Fatal("GobDecode accepted decreasing timestamps")
 	}
 	if s := dst.Series("r"); s.Len() != 0 || &s.ring[:1][0] != ring {
 		t.Fatalf("rejected state changed the ring: len %d", s.Len())
 	}
-	if allocs := testing.AllocsPerRun(10, func() {
-		if err := dst.RestoreState(st); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
+	if allocs := testing.AllocsPerRun(10, func() { dst.RestoreState(st) }); allocs != 0 {
 		t.Errorf("refilling restore allocates %.0f times, want 0", allocs)
 	}
 	if &dst.Series("r").ring[:1][0] != ring {
@@ -155,17 +155,15 @@ func TestRecorderRestoreStateRefillsRing(t *testing.T) {
 
 	other := NewRecorder()
 	other.Series("r").SetRetention(16)
-	if err := other.RestoreState(st); err != nil {
-		t.Fatal(err)
-	}
+	other.RestoreState(st)
 	if s := other.Series("r"); cap(s.ring) != 8 || s.retain != 8 {
 		t.Errorf("restore into a 16-slot ring: cap %d, retention %d; want 8 and 8", cap(s.ring), s.retain)
 	}
 }
 
 // ExportState allocates per series, never per sample: the same count at 10
-// and at 5000 samples per series, at most the series slice plus two
-// columns per series.
+// and at 5000 samples per series, at most the series slice plus one
+// payload per series.
 func TestRecorderExportStateAllocs(t *testing.T) {
 	const series = 3
 	allocs := func(points int) float64 {
@@ -182,8 +180,8 @@ func TestRecorderExportStateAllocs(t *testing.T) {
 		return testing.AllocsPerRun(20, func() { _ = r.ExportState() })
 	}
 	small, large := allocs(10), allocs(5000)
-	if small != large || large > 1+2*series {
-		t.Fatalf("ExportState allocs = %v at 10 points, %v at 5000; want equal and <= %d", small, large, 1+2*series)
+	if small != large || large > 1+series {
+		t.Fatalf("ExportState allocs = %v at 10 points, %v at 5000; want equal and <= %d", small, large, 1+series)
 	}
 }
 
@@ -218,9 +216,7 @@ func TestRecorderStateGobWrappedRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := NewRecorder()
-	if err := fresh.RestoreState(st); err != nil {
-		t.Fatal(err)
-	}
+	fresh.RestoreState(st)
 	rs := fresh.Series("ring")
 	if rs.retain != 5 {
 		t.Fatalf("retention = %d, want 5", rs.retain)
@@ -259,6 +255,88 @@ func TestRecorderStateGobWrappedRing(t *testing.T) {
 	}
 }
 
+// A state whose Name or Retention was edited after capture restores as
+// edited, but GobEncode refuses to send it: its payload still carries
+// the captured name and retention, and the wire would disagree with
+// memory. An unedited state and an empty literal encode.
+func TestSeriesStateGobEncodeRefusesEditedFields(t *testing.T) {
+	r := NewRecorder()
+	s := r.Series("ring")
+	s.SetRetention(4)
+	for i := 0; i < 6; i++ {
+		if err := s.Append(t0.Add(time.Duration(i)*time.Second), float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	captured := r.ExportState().Series[0]
+	if _, err := captured.GobEncode(); err != nil {
+		t.Fatalf("unedited state: %v", err)
+	}
+	if _, err := (SeriesState{Name: "empty", Retention: 3}).GobEncode(); err != nil {
+		t.Fatalf("literal state: %v", err)
+	}
+	for _, edit := range []struct {
+		what string
+		ss   SeriesState
+	}{
+		{"retention", SeriesState{Name: "ring", Retention: 3, data: captured.data}},
+		{"name", SeriesState{Name: "rang", Retention: 4, data: captured.data}},
+	} {
+		fresh := NewRecorder()
+		fresh.RestoreState(RecorderState{Series: []SeriesState{edit.ss}})
+		if got := fresh.Series(edit.ss.Name); got.retain != edit.ss.Retention || got.Len() != min(4, edit.ss.Retention) {
+			t.Errorf("%s edited: restored retention %d with %d samples, want the edit", edit.what, got.retain, got.Len())
+		}
+		if _, err := edit.ss.GobEncode(); err == nil || !strings.Contains(err.Error(), `captured as "ring" with retention 4`) {
+			t.Errorf("%s edited: GobEncode err = %v, want a refusal naming the captured head", edit.what, err)
+		}
+	}
+}
+
+// encodeColumns writes GobEncode's layout from columns, one binary.Append
+// call per field: the reference the exporter must agree with, and the way
+// a test builds a payload the exporter never would.
+func encodeColumns(name string, retention int64, nanos []int64, values []float64) []byte {
+	b := binary.AppendUvarint(nil, uint64(len(name)))
+	b = append(b, name...)
+	b = binary.AppendVarint(b, retention)
+	b = binary.AppendUvarint(b, uint64(len(nanos)))
+	var step int64
+	for i, t := range nanos {
+		if i == 0 {
+			b = binary.AppendVarint(b, t)
+			continue
+		}
+		d := t - nanos[i-1]
+		b = binary.AppendVarint(b, d-step)
+		step = d
+	}
+	b = binary.AppendUvarint(b, uint64(len(values)))
+	for _, v := range values {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// stateOf decodes encodeColumns' payload, which must be valid.
+func stateOf(tb testing.TB, name string, retention int, nanos []int64, values []float64) SeriesState {
+	tb.Helper()
+	var ss SeriesState
+	if err := ss.GobDecode(encodeColumns(name, int64(retention), nanos, values)); err != nil {
+		tb.Fatal(err)
+	}
+	return ss
+}
+
+// pointsOf reads every sample of ss's payload with the reader
+// RestoreState fills rings and chunks through.
+func pointsOf(ss SeriesState) []point {
+	d := readSamples(ss.data)
+	pts := make([]point, d.n)
+	d.fill(pts)
+	return pts
+}
+
 // codecCase is one series the codec must carry bit-exactly.
 type codecCase struct {
 	name string
@@ -289,47 +367,49 @@ func codecCases(tb testing.TB) []codecCase {
 	}
 	return []codecCase{
 		{"empty", SeriesState{Name: "empty", Retention: 4}},
-		{"one sample", SeriesState{Name: "one", Nanos: at(0), Values: []float64{21.5}}},
+		{"one sample", stateOf(tb, "one", 0, at(0), []float64{21.5})},
 		{"wrapped ring", r.ExportState().Series[0]},
-		{"irregular strides", SeriesState{Name: "irregular",
-			Nanos:  at(0, time.Second, 3*time.Second, 3500*time.Millisecond, 10*time.Second, 10*time.Second+1, time.Hour),
-			Values: []float64{1, 2, 3, 4, 5, 6, 7}}},
-		{"equal timestamps", SeriesState{Name: "equal",
-			Nanos:  at(0, 0, 0, time.Second, time.Second),
-			Values: []float64{1, 1, 2, 3, 5}}},
-		{"extreme timestamps", SeriesState{Name: "extreme",
-			Nanos:  []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, math.MaxInt64 - 1, math.MaxInt64},
-			Values: []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6}}},
-		{"special floats", SeriesState{Name: "special",
-			Nanos: at(0, 15*time.Second, 30*time.Second, 45*time.Second, 60*time.Second, 75*time.Second),
-			Values: []float64{math.Float64frombits(0x7ff8000000000001), math.Inf(1), math.Inf(-1),
-				math.Copysign(0, -1), math.Float64frombits(0xfff00000000abcde), 0}}},
+		{"irregular strides", stateOf(tb, "irregular", 0,
+			at(0, time.Second, 3*time.Second, 3500*time.Millisecond, 10*time.Second, 10*time.Second+1, time.Hour),
+			[]float64{1, 2, 3, 4, 5, 6, 7})},
+		{"equal timestamps", stateOf(tb, "equal", 0,
+			at(0, 0, 0, time.Second, time.Second),
+			[]float64{1, 1, 2, 3, 5})},
+		{"extreme timestamps", stateOf(tb, "extreme", 0,
+			[]int64{math.MinInt64, math.MinInt64 + 1, -1, 0, math.MaxInt64 - 1, math.MaxInt64},
+			[]float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6})},
+		{"special floats", stateOf(tb, "special", 0,
+			at(0, 15*time.Second, 30*time.Second, 45*time.Second, 60*time.Second, 75*time.Second),
+			[]float64{math.Float64frombits(0x7ff8000000000001), math.Inf(1), math.Inf(-1),
+				math.Copysign(0, -1), math.Float64frombits(0xfff00000000abcde), 0})},
 	}
 }
 
-// sameSeries reports whether two series states are identical, values
+// samePoints reports whether two sample slices are identical, values
 // compared by their IEEE bits.
-func sameSeries(a, b SeriesState) bool {
-	if a.Name != b.Name || a.Retention != b.Retention || len(a.Nanos) != len(b.Nanos) || len(a.Values) != len(b.Values) {
+func samePoints(a, b []point) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	for i := range a.Nanos {
-		if a.Nanos[i] != b.Nanos[i] {
-			return false
-		}
-	}
-	for i := range a.Values {
-		if math.Float64bits(a.Values[i]) != math.Float64bits(b.Values[i]) {
+	for i := range a {
+		if a[i].nanos != b[i].nanos || math.Float64bits(a[i].value) != math.Float64bits(b[i].value) {
 			return false
 		}
 	}
 	return true
 }
 
+// sameSeries reports whether two series states are identical, values
+// compared by their IEEE bits.
+func sameSeries(a, b SeriesState) bool {
+	return a.Name == b.Name && a.Retention == b.Retention && samePoints(pointsOf(a), pointsOf(b))
+}
+
 // The series codec carries every case through gob bit-exactly, alone and
 // all together in one recorder, and a recorder restored from the decoded
 // state writes the same WriteExact bytes as one restored from the
-// original.
+// original. The restored recorder exports the payload it was restored
+// from, byte for byte, which is also what encodeColumns writes.
 func TestRecorderStateGobCodecRoundTrip(t *testing.T) {
 	cases := codecCases(t)
 	var all RecorderState
@@ -363,12 +443,8 @@ func TestRecorderStateGobCodecRoundTrip(t *testing.T) {
 				}
 			}
 			orig, restored := NewRecorder(), NewRecorder()
-			if err := orig.RestoreState(row.st); err != nil {
-				t.Fatal(err)
-			}
-			if err := restored.RestoreState(back); err != nil {
-				t.Fatal(err)
-			}
+			orig.RestoreState(row.st)
+			restored.RestoreState(back)
 			var want, got strings.Builder
 			if err := orig.WriteExact(&want); err != nil {
 				t.Fatal(err)
@@ -378,6 +454,20 @@ func TestRecorderStateGobCodecRoundTrip(t *testing.T) {
 			}
 			if want.String() != got.String() {
 				t.Fatalf("WriteExact differs:\n%s\nvs\n%s", want.String(), got.String())
+			}
+			for i, ss := range restored.ExportState().Series {
+				payload, err := row.st.Series[i].GobEncode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				pts := pointsOf(ss)
+				nanos, values := make([]int64, len(pts)), make([]float64, len(pts))
+				for j, p := range pts {
+					nanos[j], values[j] = p.nanos, p.value
+				}
+				if ref := encodeColumns(ss.Name, int64(ss.Retention), nanos, values); !bytes.Equal(ss.data, payload) || !bytes.Equal(ss.data, ref) {
+					t.Fatalf("series %d exports %x, restored from %x; encodeColumns writes %x", i, ss.data, payload, ref)
+				}
 			}
 		})
 	}
@@ -389,12 +479,15 @@ func TestRecorderStateGobCodecRoundTrip(t *testing.T) {
 // per value. Gob alone spends nine on each such timestamp.
 func TestSeriesStateGobSize(t *testing.T) {
 	const n = 960
-	ss := SeriesState{Name: "zone0.t", Retention: n, Nanos: make([]int64, n), Values: make([]float64, n)}
-	for i := range ss.Nanos {
-		ss.Nanos[i] = benchT0.Add(time.Duration(i) * 15 * time.Second).UnixNano()
-		ss.Values[i] = 24 + math.Sin(float64(i)/40)
+	r := NewRecorder()
+	s := r.Series("zone0.t")
+	s.SetRetention(n)
+	for i := 0; i < n; i++ {
+		if err := s.Append(benchT0.Add(time.Duration(i)*15*time.Second), 24+math.Sin(float64(i)/40)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	st := RecorderState{Series: []SeriesState{ss}}
+	st := r.ExportState()
 	var buf bytes.Buffer
 	enc := gob.NewEncoder(&buf)
 	// The first message also carries gob's type definitions; size the second.
@@ -466,10 +559,46 @@ func decodeTimestampsByVarint(tb testing.TB, data []byte) []int64 {
 // a longer one through binary.Varint. Each case holds its change, its
 // negation and returns to the base interval between them. Zigzag maps
 // changes from -64 to 63 to one byte, so 64 and -65 are the first
-// two-byte cases, and each case's encoding is the expected length.
+// two-byte cases, and each case's encoding is the expected length. The
+// most negative change, MinInt64+1, fits a series whose timestamps never
+// decrease only as a fall from an interval of MaxInt64 to 0, so its case
+// is the three samples MinInt64, -1, -1: ten bytes each for the first
+// timestamp and the two changes. The exporter writes the same bytes from
+// a ring holding the samples.
 func TestSeriesStateGobDecodeIntervalChanges(t *testing.T) {
 	const base = int64(15 * time.Second)
 	t0 := benchT0.UnixNano()
+	check := func(t *testing.T, nanos []int64, tsBytes int) {
+		data := encodeColumns("s", 8, nanos, make([]float64, len(nanos)))
+		// Name, retention and count before the timestamps; the value count
+		// and values after them.
+		if got := len(data) - (1 + len("s") + 1 + 1) - 1 - 8*len(nanos); got != tsBytes {
+			t.Fatalf("timestamps take %d bytes, want %d", got, tsBytes)
+		}
+		var back SeriesState
+		if err := back.GobDecode(data); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]int64, 0, len(nanos))
+		for _, p := range pointsOf(back) {
+			got = append(got, p.nanos)
+		}
+		if !slices.Equal(got, nanos) {
+			t.Fatalf("decoded %v, want %v", got, nanos)
+		}
+		if ref := decodeTimestampsByVarint(t, data); !slices.Equal(ref, got) {
+			t.Fatalf("decoded %v, binary.Varint reads %v", got, ref)
+		}
+		r := NewRecorder()
+		s := r.Series("s")
+		s.SetRetention(8)
+		for _, ns := range nanos {
+			s.append(point{nanos: ns})
+		}
+		if exported := r.ExportState().Series[0].data; !bytes.Equal(exported, data) {
+			t.Fatalf("the exporter writes %x, want %x", exported, data)
+		}
+	}
 	for _, tc := range []struct {
 		name   string
 		change int64
@@ -484,7 +613,6 @@ func TestSeriesStateGobDecodeIntervalChanges(t *testing.T) {
 		{"-64", -64, 3},
 		{"-65", -65, 4},
 		{"huge", 1 << 61, 18},
-		{"most negative", math.MinInt64 + 1, 20},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Intervals base, base, base+change, base+change, base, base:
@@ -495,48 +623,30 @@ func TestSeriesStateGobDecodeIntervalChanges(t *testing.T) {
 			for _, d := range intervals {
 				nanos = append(nanos, nanos[len(nanos)-1]+d)
 			}
-			ss := SeriesState{Name: "s", Retention: 8, Nanos: nanos, Values: make([]float64, len(nanos))}
-			data, err := ss.GobEncode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Name, retention and count; the first timestamp and interval.
-			head := 1 + len("s") + 1 + 1 + len(binary.AppendVarint(nil, t0)) + len(binary.AppendVarint(nil, base))
-			if got, want := len(data)-head-1-8*len(nanos), 3+tc.bytes; got != want {
-				t.Fatalf("timestamps take %d bytes, want %d", got, want)
-			}
-			var back SeriesState
-			if err := back.GobDecode(data); err != nil {
-				t.Fatal(err)
-			}
-			if !sameSeries(ss, back) {
-				t.Fatalf("decoded %v, want %v", back.Nanos, ss.Nanos)
-			}
-			if ref := decodeTimestampsByVarint(t, data); !slices.Equal(ref, back.Nanos) {
-				t.Fatalf("decoded %v, binary.Varint reads %v", back.Nanos, ref)
-			}
+			// The first timestamp and interval, three changes of 0, and
+			// the case's pair.
+			check(t, nanos, len(binary.AppendVarint(nil, t0))+len(binary.AppendVarint(nil, base))+3+tc.bytes)
 		})
 	}
+	t.Run("most negative", func(t *testing.T) {
+		check(t, []int64{math.MinInt64, -1, -1}, 30)
+	})
 }
 
-// A run of one-byte interval changes cut short is an error. A decoded
-// series whose timestamps decrease is not the decoder's to refuse;
-// RestoreState reports it. (A single sample, with no interval change,
-// is codecCases' "one sample".)
+// A run of one-byte interval changes cut short is an error, and so is a
+// series whose timestamps decrease. (A single sample, with no interval
+// change, is codecCases' "one sample".)
 func TestSeriesStateGobDecodeEdges(t *testing.T) {
 	// Ten samples 1000 ns apart: the first timestamp, the first interval
 	// (two bytes), then a run of eight one-byte changes of 0. Every cut
 	// inside the run is an error. Cut before its last byte, the count
 	// check passes (ten bytes for ten timestamps) and the run itself
 	// runs out.
-	periodic := SeriesState{Name: "p", Nanos: make([]int64, 10), Values: make([]float64, 10)}
-	for i := range periodic.Nanos {
-		periodic.Nanos[i] = int64(i) * 1000
+	nanos := make([]int64, 10)
+	for i := range nanos {
+		nanos[i] = int64(i) * 1000
 	}
-	data, err := periodic.GobEncode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := encodeColumns("p", 0, nanos, make([]float64, 10))
 	const runStart = 1 + len("p") + 1 + 1 + 1 + 2 // name, retention, count, 0, 1000
 	if run := data[runStart : runStart+8]; !slices.Equal(run, make([]byte, 8)) {
 		t.Fatalf("encoding %x has no run of eight zero bytes at %d", data, runStart)
@@ -552,23 +662,16 @@ func TestSeriesStateGobDecodeEdges(t *testing.T) {
 		}
 	}
 
-	decreasing := SeriesState{Name: "down", Nanos: []int64{100, 200, 150, 250}, Values: make([]float64, 4)}
-	if data, err = decreasing.GobEncode(); err != nil {
-		t.Fatal(err)
-	}
 	var back SeriesState
-	if err := back.GobDecode(data); err != nil || !sameSeries(decreasing, back) {
-		t.Fatalf("decreasing timestamps: decoded %+v, %v", back, err)
-	}
-	err = NewRecorder().RestoreState(RecorderState{Series: []SeriesState{back}})
+	err := back.GobDecode(encodeColumns("down", 0, []int64{100, 200, 150, 250}, make([]float64, 4)))
 	if err == nil || !strings.Contains(err.Error(), "sample 2 at 150 ns precedes sample 1 at 200 ns") {
-		t.Fatalf("RestoreState of decreasing timestamps: err = %v", err)
+		t.Fatalf("GobDecode of decreasing timestamps: err = %v", err)
 	}
 }
 
 // A 16-byte input that claims 2^40 timestamps or values is an error, and
-// no column is allocated: the call allocates under 1 MiB in all, and a
-// column that size could not be allocated at all.
+// nothing is kept: the call allocates under 1 MiB in all, and a column
+// that size could not be allocated at all.
 func TestSeriesStateGobDecodeHugeCount(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 1<<40)
 	for _, tc := range []struct {
@@ -587,8 +690,8 @@ func TestSeriesStateGobDecodeHugeCount(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s: decoded %x", tc.name, data)
 		}
-		if ss.Nanos != nil || ss.Values != nil {
-			t.Fatalf("%s: failed decode left columns of %d and %d", tc.name, len(ss.Nanos), len(ss.Values))
+		if ss.data != nil {
+			t.Fatalf("%s: failed decode kept %d bytes", tc.name, len(ss.data))
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
 			t.Fatalf("%s: decode allocated %d bytes", tc.name, grew)
@@ -596,9 +699,17 @@ func TestSeriesStateGobDecodeHugeCount(t *testing.T) {
 	}
 }
 
+// fuzzMaxRetention bounds the rings FuzzSeriesStateGobDecode restores:
+// RestoreState sizes a ring from the state's retention, and a fleet
+// refuses a retention its config did not give the series before it
+// restores anything.
+const fuzzMaxRetention = 4096
+
 // FuzzSeriesStateGobDecode feeds the series decoder arbitrary bytes. It
-// must never panic, and whatever it accepts must survive another encode
-// and decode unchanged.
+// must never panic, and it keeps exactly the bytes it accepts. An accepted
+// series with a ring of at most fuzzMaxRetention samples is restored into
+// a recorder and exported again: the export holds the same samples, bit
+// for bit, or the newest Retention of them for a ring, and decodes again.
 func FuzzSeriesStateGobDecode(f *testing.F) {
 	for _, c := range codecCases(f) {
 		data, err := c.ss.GobEncode()
@@ -612,16 +723,25 @@ func FuzzSeriesStateGobDecode(f *testing.F) {
 		if err := ss.GobDecode(data); err != nil {
 			return
 		}
-		again, err := ss.GobEncode()
-		if err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(ss.data, data) {
+			t.Fatalf("GobDecode of %x kept %x", data, ss.data)
+		}
+		if ss.Retention > fuzzMaxRetention {
+			return
+		}
+		r := NewRecorder()
+		r.RestoreState(RecorderState{Series: []SeriesState{ss}})
+		out := r.ExportState().Series[0]
+		want := pointsOf(ss)
+		if ss.Retention > 0 && len(want) > ss.Retention {
+			want = want[len(want)-ss.Retention:]
+		}
+		if out.Name != ss.Name || out.Retention != ss.Retention || !samePoints(pointsOf(out), want) {
+			t.Fatalf("restore and export turned %x into %x", data, out.data)
 		}
 		var back SeriesState
-		if err := back.GobDecode(again); err != nil {
-			t.Fatalf("re-decode of %x: %v", again, err)
-		}
-		if !sameSeries(ss, back) {
-			t.Fatalf("round trip changed %+v into %+v", ss, back)
+		if err := back.GobDecode(out.data); err != nil {
+			t.Fatalf("re-decode of %x: %v", out.data, err)
 		}
 	})
 }

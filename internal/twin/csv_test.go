@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"bubblezero/internal/core"
 )
 
 // csvTwin is a two-building twin, warmed 600 ticks, whose building 1
@@ -169,5 +171,52 @@ func TestQueryCSVFailedWriteEndsResponse(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/twins/"+id+"/query?format=csv&building=9&from_s=0&to_s=60&step_s=1", nil))
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"error"`) {
 		t.Errorf("an out-of-range building: status %d %q, want a 400 with its error", rec.Code, rec.Body)
+	}
+}
+
+// TestQueryCSVBoundsColumns pins that a CSV export has at most one column
+// per recorded series: a repeated name is a 400 and an unknown one a 404,
+// as the JSON query answers it, each with a JSON error and before any
+// row. A hundred repeats of one name, a 1.3 KB URL, used to answer 53 MB
+// rendered under the building's read lock. The names of every recorded
+// series, each once, still export.
+func TestQueryCSVBoundsColumns(t *testing.T) {
+	srv := NewServer()
+	defer srv.Close()
+	h := srv.Handler()
+	tw, id := csvTwin(t, srv)
+	var names []string
+	if err := tw.viewBuilding(1, func(sys *core.System) error {
+		names = sys.Recorder().Names()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	get := func(series string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/twins/"+id+"/query?"+csvMaxWindow+"&series="+series, nil))
+		return rec
+	}
+	for _, tc := range []struct {
+		name, series string
+		status       int
+		want         string
+	}{
+		{"repeated", names[0] + "," + names[1] + "," + names[0], http.StatusBadRequest, "named twice"},
+		{"a hundred repeats", strings.Repeat(names[0]+",", 99) + names[0], http.StatusBadRequest, "named twice"},
+		{"unknown", names[0] + ",no.such.series", http.StatusNotFound, "no such series"},
+		{"empty name", names[0] + ",", http.StatusNotFound, "no such series"},
+	} {
+		rec := get(tc.series)
+		if rec.Code != tc.status || !strings.Contains(rec.Body.String(), `"error"`) || !strings.Contains(rec.Body.String(), tc.want) {
+			t.Errorf("%s: status %d %.200q, want %d with a JSON error mentioning %q", tc.name, rec.Code, rec.Body, tc.status, tc.want)
+		}
+		if strings.Contains(rec.Body.String(), "elapsed_s") {
+			t.Errorf("%s: the error followed CSV rows", tc.name)
+		}
+	}
+	rec := get(strings.Join(names, ","))
+	if header, _, _ := strings.Cut(rec.Body.String(), "\n"); rec.Code != http.StatusOK || header != "elapsed_s,"+strings.Join(names, ",") {
+		t.Errorf("every series once: status %d, header %.200q", rec.Code, header)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -169,12 +170,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
-	snap, err := ReadSnapshot(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	t, err := RestoreTwin(r.Context(), snap)
+	t, err := readTwin(r.Context(), r.Body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -520,10 +516,14 @@ func (c *csvResponse) Write(p []byte) (int, error) {
 
 // handleQueryCSV streams the sample-and-hold CSV export for one or more
 // series (comma-separated "series" parameter; empty means every series).
-// An error before the first write is a 400. After it, WriteCSV fails
-// only on a write, and the handler sends nothing more: the status is
-// out, and net/http closes the connection the failed write broke, so
-// the client sees the body cut short.
+// Each name is one column, rendered under the building's read lock, so
+// an export has at most one column per recorded series: a name the
+// building does not record is a 404, as in the JSON query, and a
+// repeated one a 400. Any error before the first write is answered with
+// its status. After it, WriteCSV fails only on a write, and the handler
+// sends nothing more: the status is out, and net/http closes the
+// connection the failed write broke, so the client sees the body cut
+// short.
 func (s *Server) handleQueryCSV(w http.ResponseWriter, r *http.Request, t *Twin, from, to time.Time, step time.Duration) {
 	building, err := parseBuilding(r, t.cfg.Buildings)
 	if err != nil {
@@ -537,14 +537,40 @@ func (s *Server) handleQueryCSV(w http.ResponseWriter, r *http.Request, t *Twin,
 		rec := sys.Recorder()
 		names := rec.Names()
 		if raw := r.URL.Query().Get("series"); raw != "" {
-			names = strings.Split(raw, ",")
+			var err error
+			if names, err = csvColumns(raw, names); err != nil {
+				return err
+			}
 		}
 		w.Header().Set("Content-Type", "text/csv")
 		return rec.WriteCSV(cw, names, from, to, step)
 	})
 	if err != nil && !cw.wrote {
-		writeError(w, http.StatusBadRequest, err)
+		status := http.StatusBadRequest
+		if errors.Is(err, trace.ErrNoSeries) {
+			status = http.StatusNotFound
+		}
+		writeError(w, status, err)
 	}
+}
+
+// csvColumns splits a CSV export's comma-separated series list and checks
+// each name, in order, against the building's series: an unknown name
+// wraps trace.ErrNoSeries, and a repeated one is an error too. Every
+// name it accepts is one of the building's, so it reads at most one more
+// name than the building records before it fails.
+func csvColumns(raw string, recorded []string) ([]string, error) {
+	names := make([]string, 0, len(recorded))
+	for name := range strings.SplitSeq(raw, ",") {
+		if !slices.Contains(recorded, name) {
+			return nil, fmt.Errorf("trace: series %q: %w", name, trace.ErrNoSeries)
+		}
+		if slices.Contains(names, name) {
+			return nil, fmt.Errorf("series %q named twice", name)
+		}
+		names = append(names, name)
+	}
+	return names, nil
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,7 @@
 package twin
 
 import (
+	"context"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -70,28 +71,72 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 // stream fails at the first missing one.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	dec := gob.NewDecoder(r)
-	var s Snapshot
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("twin: decode snapshot: %w", err)
-	}
-	if s.Version != SnapshotVersion {
-		return nil, fmt.Errorf("twin: snapshot version %d, this build reads %d", s.Version, SnapshotVersion)
-	}
-	if n := len(s.State.Buildings); n != 0 {
-		return nil, fmt.Errorf("twin: decode snapshot: header carries %d buildings", n)
-	}
-	if s.Config.Buildings < 0 {
-		return nil, fmt.Errorf("twin: decode snapshot: negative building count %d", s.Config.Buildings)
-	}
-	if _, err := s.Config.FleetConfig(); err != nil {
-		return nil, fmt.Errorf("twin: decode snapshot: %w", err)
+	s, _, err := readHeader(dec)
+	if err != nil {
+		return nil, err
 	}
 	for i := 0; i < s.Config.Buildings; i++ {
-		var b core.SystemState
-		if err := dec.Decode(&b); err != nil {
-			return nil, fmt.Errorf("twin: decode snapshot building %d of %d: %w", i, s.Config.Buildings, err)
+		b, err := readBuilding(dec, i, s.Config.Buildings)
+		if err != nil {
+			return nil, err
 		}
-		s.State.Buildings = append(s.State.Buildings, b)
+		s.State.Buildings = append(s.State.Buildings, *b)
 	}
-	return &s, nil
+	return s, nil
+}
+
+// readHeader decodes and checks a snapshot stream's header: its version
+// first, then that it carries no buildings, and its config. It returns
+// the config's fleet expansion too.
+func readHeader(dec *gob.Decoder) (*Snapshot, fleet.Config, error) {
+	var s Snapshot
+	if err := dec.Decode(&s); err != nil {
+		return nil, fleet.Config{}, fmt.Errorf("twin: decode snapshot: %w", err)
+	}
+	if s.Version != SnapshotVersion {
+		return nil, fleet.Config{}, fmt.Errorf("twin: snapshot version %d, this build reads %d", s.Version, SnapshotVersion)
+	}
+	if n := len(s.State.Buildings); n != 0 {
+		return nil, fleet.Config{}, fmt.Errorf("twin: decode snapshot: header carries %d buildings", n)
+	}
+	if s.Config.Buildings < 0 {
+		return nil, fleet.Config{}, fmt.Errorf("twin: decode snapshot: negative building count %d", s.Config.Buildings)
+	}
+	fc, err := s.Config.FleetConfig()
+	if err != nil {
+		return nil, fleet.Config{}, fmt.Errorf("twin: decode snapshot: %w", err)
+	}
+	return &s, fc, nil
+}
+
+// readBuilding decodes building i of a stream whose header announced n.
+func readBuilding(dec *gob.Decoder, i, n int) (*core.SystemState, error) {
+	var b core.SystemState
+	if err := dec.Decode(&b); err != nil {
+		return nil, fmt.Errorf("twin: decode snapshot building %d of %d: %w", i, n, err)
+	}
+	return &b, nil
+}
+
+// readTwin restores a twin from a WriteSnapshot stream as it arrives,
+// which is how POST /twins/restore takes its body. It reads and checks
+// the header as ReadSnapshot does, then hands fleet.Restore one building
+// at a time: this goroutine decodes building i+1 while fleet.Restore's
+// own builds and restores building i. A building is built only once its
+// message has decoded, so the header's building count allocates nothing.
+// A decode error comes back as readBuilding made it, and a restore error
+// as fleet.Restore did.
+func readTwin(ctx context.Context, r io.Reader) (*Twin, error) {
+	dec := gob.NewDecoder(r)
+	s, fc, err := readHeader(dec)
+	if err != nil {
+		return nil, err
+	}
+	fl, err := fleet.Restore(ctx, fc, s.State.Ticks, s.State.Journal, func(i int) (*core.SystemState, error) {
+		return readBuilding(dec, i, fc.Buildings)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return startTwin(s.Config, fc.Base.Start, fl), nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/gob"
 	"encoding/hex"
 	"hash"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"bubblezero/internal/core"
 	"bubblezero/internal/fleet"
 )
 
@@ -167,10 +169,16 @@ func TestFullRingSnapshotBytes(t *testing.T) {
 	if got := hex.EncodeToString(sum[:]); got != fullRingSnapshotSHA256 {
 		t.Fatalf("%d-byte snapshot has SHA-256 %s, want %s", buf.Len(), got, fullRingSnapshotSHA256)
 	}
-	for _, ss := range snap.State.Buildings[63].Recorder.Series {
-		if len(ss.Nanos) != fullRingConfig.SampleRetention {
-			t.Fatalf("series %q holds %d samples, want a full ring", ss.Name, len(ss.Nanos))
+	if err := tw.viewBuilding(63, func(sys *core.System) error {
+		rec := sys.Recorder()
+		for _, name := range rec.Names() {
+			if n := rec.Series(name).Len(); n != fullRingConfig.SampleRetention {
+				t.Fatalf("series %q holds %d samples, want a full ring", name, n)
+			}
 		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	back, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -194,13 +202,14 @@ func TestFullRingSnapshotBytes(t *testing.T) {
 	}
 }
 
-// BenchmarkCheckpointStages times the four stages of a checkpoint round
-// trip of fullRingTwin, in ms each: capture (Twin.Snapshot), encode
-// (WriteSnapshot), decode (ReadSnapshot) and restore (RestoreTwin).
+// BenchmarkCheckpointStages times the stages of a checkpoint round trip
+// of fullRingTwin, in ms each: capture (Twin.Snapshot), encode
+// (WriteSnapshot), and decode and restore together, through the path POST
+// /twins/restore takes (readTwin), where they overlap.
 func BenchmarkCheckpointStages(b *testing.B) {
 	tw := fullRingTwin(b)
 	defer tw.Close()
-	var capture, encode, decode, restore time.Duration
+	var capture, encode, restore time.Duration
 	var buf bytes.Buffer
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -216,40 +225,44 @@ func BenchmarkCheckpointStages(b *testing.B) {
 			b.Fatal(err)
 		}
 		t2 := time.Now()
-		back, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+		restored, err := readTwin(context.Background(), bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			b.Fatal(err)
 		}
 		t3 := time.Now()
-		restored, err := RestoreTwin(context.Background(), back)
-		if err != nil {
-			b.Fatal(err)
-		}
-		t4 := time.Now()
 		restored.Close()
 		capture += t1.Sub(t0)
 		encode += t2.Sub(t1)
-		decode += t3.Sub(t2)
-		restore += t4.Sub(t3)
+		restore += t3.Sub(t2)
 	}
 	b.StopTimer()
 	ms := func(d time.Duration) float64 { return d.Seconds() * 1000 / float64(b.N) }
 	b.ReportMetric(ms(capture), "capture-ms")
 	b.ReportMetric(ms(encode), "encode-ms")
-	b.ReportMetric(ms(decode), "decode-ms")
-	b.ReportMetric(ms(restore), "restore-ms")
+	b.ReportMetric(ms(restore), "decode+restore-ms")
 	b.ReportMetric(float64(buf.Len())/(1<<20), "MiB")
 }
 
 // FuzzReadSnapshot feeds arbitrary bytes to ReadSnapshot and, when they
-// decode, to RestoreTwin. Each returns an error or a result, never a
-// panic; a restored twin is closed. The corpus in testdata/fuzz holds a
-// 2-building snapshot and truncations of it. bubblezerod has no admission
-// budget yet, so a header may ask for any fleet its config validates, as
-// large as memory allows; the target restores fleets of at most 8
-// buildings and rings of at most 4,096 samples, about 11 MB.
+// decode, to RestoreTwin, and every input to the streamed restore POST
+// /twins/restore takes (readTwin). Each returns an error or a result,
+// never a panic; a restored twin is closed. The corpus in testdata/fuzz
+// holds a 2-building snapshot and truncations of it. bubblezerod has no
+// admission budget yet, so a header may ask for any fleet its config
+// validates, as large as memory allows; the target restores fleets of at
+// most 8 buildings and rings of at most 4,096 samples, about 11 MB. The
+// streamed restore reads those limits from the header first, as it
+// builds each building as soon as its message has decoded.
 func FuzzReadSnapshot(f *testing.F) {
+	const maxBuildings, maxRetention = 8, 4096
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var head Snapshot
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&head); err != nil ||
+			head.Config.Buildings <= maxBuildings && head.Config.SampleRetention <= maxRetention {
+			if tw, err := readTwin(context.Background(), bytes.NewReader(data)); err == nil {
+				tw.Close()
+			}
+		}
 		snap, err := ReadSnapshot(bytes.NewReader(data))
 		if err != nil {
 			return
@@ -257,7 +270,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		if _, err := snap.Config.FleetConfig(); err != nil {
 			t.Fatalf("ReadSnapshot accepted a config FleetConfig rejects: %v", err)
 		}
-		if snap.Config.Buildings > 8 || snap.Config.SampleRetention > 4096 {
+		if snap.Config.Buildings > maxBuildings || snap.Config.SampleRetention > maxRetention {
 			return
 		}
 		tw, err := RestoreTwin(context.Background(), snap)

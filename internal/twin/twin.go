@@ -26,11 +26,14 @@ import (
 )
 
 // Config is the JSON surface a twin is created from. It maps onto
-// fleet.DefaultConfig with the fleet's memory budget disabled (twins
-// record telemetry, whose cost the budget would misattribute) and trace
-// sampling on by default — telemetry is the point of a twin. Construction
-// fault plans are deliberately absent: faults enter a twin only as live
-// events, which the journal can replay on restore.
+// fleet.DefaultConfig with trace sampling on by default — telemetry is
+// the point of a twin — and with the fleet's per-building memory budget
+// off. That budget's default is sized for untraced buildings, and a
+// twin's traced ones cost more (fleet.Config.BytesPerBuilding counts
+// their rings); what should bound a twin is a budget across the server,
+// and bubblezerod has none yet. Construction fault plans are
+// deliberately absent: faults enter a twin only as live events, which
+// the journal can replay on restore.
 type Config struct {
 	// Buildings is the fleet size. Must be > 0.
 	Buildings int `json:"buildings"`
@@ -246,7 +249,10 @@ func (t *Twin) Snapshot() (*Snapshot, error) {
 // RestoreTwin builds a fresh twin from a snapshot: the fleet is
 // reconstructed from the embedded config — construction is deterministic,
 // so the topology matches position for position — and patched to the
-// captured tick, journal replay included.
+// captured tick, journal replay included. Its buildings are decoded
+// already, so there is nothing for a build to overlap, and both stages
+// run on the fleet's pool; POST /twins/restore, which decodes as it
+// restores, takes fleet.Restore instead.
 func RestoreTwin(ctx context.Context, snap *Snapshot) (*Twin, error) {
 	fc, err := snap.Config.FleetConfig()
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
@@ -614,10 +615,24 @@ func TestServerRestoreRejectsBadTraceState(t *testing.T) {
 	if len(series) == 0 {
 		t.Fatal("snapshot has no trace series to corrupt")
 	}
-	series[0].Values = append(series[0].Values, 1)
+	// Only the trace package builds a series with samples, so building 0
+	// travels in a mirror of its wire form whose first series carries no
+	// timestamps and one value.
+	bad := binary.AppendUvarint(nil, uint64(len(series[0].Name)))
+	bad = append(bad, series[0].Name...)
+	bad = append(bad, 0, 0, 1) // retention 0, 0 timestamps, 1 value
+	bad = binary.LittleEndian.AppendUint64(bad, math.Float64bits(1))
+	head := *snap
+	head.State.Buildings = nil
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, snap); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode(&head); err != nil {
+		t.Fatalf("encode header: %v", err)
+	}
+	var building badTraceBuilding
+	building.Recorder.Series = []rawSeries{bad}
+	if err := enc.Encode(&building); err != nil {
+		t.Fatalf("encode building: %v", err)
 	}
 
 	srv := NewServer()
@@ -862,6 +877,18 @@ func snapshotStream(t *testing.T, head Snapshot, buildings []core.SystemState) [
 	}
 	return buf.Bytes()
 }
+
+// badTraceBuilding mirrors a building's wire form down to its trace
+// series, which travel as raw payloads: gob matches a type that encodes
+// itself by its method, not its name, so rawSeries' bytes reach
+// trace.SeriesState.GobDecode.
+type badTraceBuilding struct {
+	Recorder struct{ Series []rawSeries }
+}
+
+type rawSeries []byte
+
+func (r rawSeries) GobEncode() ([]byte, error) { return r, nil }
 
 // v2Snapshot mirrors the version-2 wire graph down to the trace series,
 // which a v2 build sent as plain structs (v2Series); gob matches struct
